@@ -3,6 +3,10 @@ functions of smeared boson number operators, their limiting coefficients,
 free white-noise checks, Poisson statistics, and a symbolic engine for the
 limiting generator algebra."""
 
+# The only copy of the version (pyproject.toml and the CLI read it); set
+# before the submodule imports so that any of them may import it.
+__version__ = "0.1.0"
+
 from .partitions import (
     DiagramClass,
     PairDiagram,
@@ -47,7 +51,6 @@ from .finite_eps import (
 )
 from .statistics import (
     CorrelationFamily,
-    CumulantTable,
     GridAlignmentError,
     cumulants_from_moments,
     full_from_truncated,
@@ -81,5 +84,3 @@ from .white_noise import (
 )
 from .report import ConvergenceReport, SweepRow, write_sidecar
 from .config import ConfigError, default_config, load_config, model_from_config, symbols_from_config
-
-__version__ = "0.1.0"

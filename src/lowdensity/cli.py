@@ -10,24 +10,20 @@ fails, 1 for configuration or usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
-from math import factorial, pi
+from math import factorial
 
 import numpy as np
 
-from .config import ConfigError, default_config, load_config, model_from_config, symbols_from_config, test_function_from_config
+from . import __version__
+from .config import ConfigError, default_config, load_config, load_symbols, model_from_config, symbols_from_config, test_function_from_config
 from .finite_eps import convergence_sweep, delta_lemma_check
-from .partitions import DiagramClass, bell, classify, enumerate_pair_diagrams, surviving_diagram, touchard
-from .report import ConvergenceReport, write_sidecar
-from .spectral import EnergyGrid, limit_truncated_coefficient, limit_truncated_smeared, free_moment, rank_one_kernel
-from .statistics import GridAlignmentError, independence_probe, poisson_cumulants, poisson_moments
+from .partitions import bell, classify, enumerate_pair_diagrams, surviving_diagram, touchard
+from .report import ConvergenceReport, write_sidecar, write_table
+from .spectral import TWO_PI, EnergyGrid, limit_truncated_coefficient, limit_truncated_smeared, free_moment, rank_one_kernel
+from .statistics import independence_probe, poisson_cumulants, poisson_moments
 from .symbols import FrequencyIndex, NumberSymbol, TestFunction
 from .white_noise import evaluate_symbolic, vacuum_expectation
-
-TWO_PI = 2.0 * pi
 
 
 class AssertionFailed(Exception):
@@ -51,60 +47,28 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
-def _load_symbols_file(path: str) -> list:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read symbols file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    if isinstance(data, dict):
-        data = data.get("symbols")
-    if not isinstance(data, list):
-        raise ConfigError(f"{path}: expected a symbols array or an object with a 'symbols' key")
-    return data
-
-
 def _load(args):
     cfg = load_config(args.config) if args.config else default_config()
     if getattr(args, "symbols", None):
         cfg = dict(cfg)
-        cfg["symbols"] = _load_symbols_file(args.symbols)
+        cfg["symbols"] = load_symbols(args.symbols)
     return cfg, model_from_config(cfg)
 
 
-def _payload_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = list(rows[0].keys()) if rows else []
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in (row[k] for k in header)])
-    return buf.getvalue()
-
-
-def _emit_rows(args, rows: list[dict], metadata: dict) -> None:
+def _emit(args, table, metadata: dict) -> None:
+    """With --out, write the table (row dicts or a ConvergenceReport) and
+    the sidecar holding the run's metadata."""
     if not args.out:
         return
-    if args.format == "json":
-        text = json.dumps({"metadata": metadata, "rows": rows}, indent=2, sort_keys=True) + "\n"
+    if isinstance(table, ConvergenceReport):
+        table.write(args.out, args.format)
     else:
-        text = _payload_csv(rows)
-    with open(args.out, "w") as fh:
-        fh.write(text)
-    write_sidecar(args.out, metadata)
-
-
-def _emit_report(args, report: ConvergenceReport, metadata: dict) -> None:
-    if not args.out:
-        return
-    report.write(args.out, args.format)
+        write_table(args.out, args.format, table, metadata)
     write_sidecar(args.out, metadata)
 
 
 def _meta(args, command: str, **extra) -> dict:
-    meta = {"command": command, "config": args.config or "builtin-default", "version": "0.1.0"}
+    meta = {"command": command, "config": args.config or "builtin-default", "version": __version__}
     meta.update(extra)
     return meta
 
@@ -127,7 +91,7 @@ def cmd_limit(args) -> int:
         "limit_re": smeared.real, "limit_im": smeared.imag,
         "delta_chain_order": coeff.delta_chain_order,
     }]
-    _emit_rows(args, rows, _meta(args, "limit", n=n))
+    _emit(args, rows, _meta(args, "limit", n=n))
     if args.do_assert and not coeff.omega_gate_passed and (coeff.value != 0 or smeared != 0):
         raise AssertionFailed("omega gate failed but the value is not exactly zero")
     return 0
@@ -141,7 +105,7 @@ def cmd_sweep(args) -> int:
         warn = f"  [{';'.join(row.warnings)}]" if row.warnings else ""
         print(f"eps={row.epsilon:<8g} value={row.value:.10g}  rel_err={row.rel_err:.3e}{warn}")
     print(f"limit = {report.rows[0].limit:.12g}")
-    _emit_report(args, report, _meta(args, "sweep", **report.metadata))
+    _emit(args, report, _meta(args, "sweep", **report.metadata))
     if args.do_assert:
         errs = [row.rel_err for row in report.rows]
         if any(e2 >= e1 for e1, e2 in zip(errs, errs[1:])):
@@ -189,7 +153,7 @@ def cmd_free_check(args) -> int:
         })
         print(f"trial {i}: n={len(syms)}  free={fm:.10g}  limit={lim:.10g}  diff={abs(fm - lim):.3e}")
     print(f"worst scaled difference = {worst:.3e}")
-    _emit_rows(args, rows, _meta(args, "free-check", trials=len(trials), seed=args.seed if args.random else None))
+    _emit(args, rows, _meta(args, "free-check", trials=len(trials), seed=args.seed if args.random else None))
     if args.do_assert and worst > 1e-12:
         raise AssertionFailed(f"free product rule deviates by {worst:.3e} > 1e-12")
     return 0
@@ -228,8 +192,8 @@ def cmd_poisson(args) -> int:
         else:
             if any(k != 0 for k in kappas):
                 failures.append(f"lambda={lam}: nonzero cumulant at omega_index={args.omega_index}")
-    _emit_rows(args, rows, _meta(args, "poisson", lam=args.lam, orders=args.orders,
-                                 bins=args.bins, e_max=args.e_max, omega_index=args.omega_index))
+    _emit(args, rows, _meta(args, "poisson", lam=args.lam, orders=args.orders,
+                            bins=args.bins, e_max=args.e_max, omega_index=args.omega_index))
     if args.do_assert and failures:
         raise AssertionFailed("; ".join(failures))
     return 0
@@ -253,7 +217,7 @@ def cmd_independence(args) -> int:
     for row in report.rows:
         warn = f"  [{';'.join(row.warnings)}]" if row.warnings else ""
         print(f"eps={row.epsilon:<8g} |probe|={abs(row.value):.6e}{warn}")
-    _emit_report(args, report, _meta(args, "independence", **report.metadata))
+    _emit(args, report, _meta(args, "independence", **report.metadata))
     if args.do_assert:
         first, last = abs(report.rows[0].value), abs(report.rows[-1].value)
         if last > first:
@@ -312,8 +276,8 @@ def cmd_wn_expect(args) -> int:
     coeff = limit_truncated_coefficient(model, kernels, [FrequencyIndex(0)] * k)
     expected = TWO_PI ** (k - 1) * coeff.value
     print(f"chain coefficient check: engine={evaluated.connected:.10g}  spectral={expected:.10g}")
-    _emit_rows(args, rows, _meta(args, "wn-expect", k=k, labels=["{}:{}".format(*l) for l in labels],
-                                 connected_only=args.connected_only))
+    _emit(args, rows, _meta(args, "wn-expect", k=k, labels=["{}:{}".format(*l) for l in labels],
+                            connected_only=args.connected_only))
     if args.do_assert:
         err = abs(evaluated.connected - expected) / max(1.0, abs(expected))
         if err > 1e-10:
@@ -343,7 +307,7 @@ def cmd_diagrams(args) -> int:
             "surviving": surviving.label(),
         })
     print(f"n={n}: {len(diagrams)} diagrams, {len(irreducible)} irreducible, surviving cycle {surviving.label()}")
-    _emit_rows(args, rows, _meta(args, "diagrams", n=n))
+    _emit(args, rows, _meta(args, "diagrams", n=n))
     if args.do_assert:
         if len(diagrams) != factorial(n):
             raise AssertionFailed(f"expected {factorial(n)} diagrams, found {len(diagrams)}")
@@ -365,7 +329,7 @@ def cmd_bell(args) -> int:
         print(f"n={order}: bell={b}  touchard(lambda={args.lam})={t:g}")
         if abs(touchard(order, 1.0) - b) > 0:
             bad.append(order)
-    _emit_rows(args, rows, _meta(args, "bell", max_order=args.max_order, lam=args.lam))
+    _emit(args, rows, _meta(args, "bell", max_order=args.max_order, lam=args.lam))
     if args.do_assert and bad:
         raise AssertionFailed(f"touchard at lambda=1 disagrees with Bell numbers at orders {bad}")
     return 0
@@ -380,7 +344,7 @@ def cmd_delta_lemma(args) -> int:
     report = delta_lemma_check(f, phi, args.epsilons)
     for row in report.rows:
         print(f"eps={row.epsilon:<8g} value={row.value:.8g}  target={row.limit:.8g}  rel_err={row.rel_err:.3e}")
-    _emit_report(args, report, _meta(args, "delta-lemma", epsilons=args.epsilons))
+    _emit(args, report, _meta(args, "delta-lemma", epsilons=args.epsilons))
     if args.do_assert:
         errs = [row.rel_err for row in report.rows]
         if any(e2 >= e1 for e1, e2 in zip(errs, errs[1:])):
@@ -394,72 +358,56 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lowdensity", description="Low density limit toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, fn, summary, symbols=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=fn)
         p.add_argument("--config", help="JSON model/symbol config (builtin demo model when omitted)")
         p.add_argument("--out", help="write the result table to this path")
         p.add_argument("--format", choices=("csv", "json"), default="csv", help="table format for --out")
         p.add_argument("--assert", dest="do_assert", action="store_true",
                        help="fail (exit 2) unless this command's headline claim holds")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized modes")
+        if symbols:
+            p.add_argument("--symbols", help="JSON file with a symbols array, overrides the config's")
+        return p
 
-    p = sub.add_parser("limit", help="limiting truncated value of the configured symbols")
-    common(p)
-    p.add_argument("--symbols", help="JSON file with a symbols array, overrides the config's")
-    p.set_defaults(fn=cmd_limit)
+    command("limit", cmd_limit, "limiting truncated value of the configured symbols", symbols=True)
 
-    p = sub.add_parser("sweep", help="finite-epsilon truncated values against the limit")
-    common(p)
-    p.add_argument("--symbols", help="JSON file with a symbols array, overrides the config's")
+    p = command("sweep", cmd_sweep, "finite-epsilon truncated values against the limit", symbols=True)
     p.add_argument("--epsilons", type=_float_list, default=[0.2, 0.1, 0.05])
-    p.set_defaults(fn=cmd_sweep)
 
-    p = sub.add_parser("free-check", help="free white-noise product rule vs the limit formula")
-    common(p)
-    p.add_argument("--symbols", help="JSON file with a symbols array, overrides the config's")
+    p = command("free-check", cmd_free_check, "free white-noise product rule vs the limit formula", symbols=True)
     p.add_argument("--random", type=int, metavar="N", help="check N random symbol configurations")
-    p.set_defaults(fn=cmd_free_check)
+    p.add_argument("--seed", type=int, default=0, help="seed for --random")
 
-    p = sub.add_parser("poisson", help="hard-shell cumulants and moments")
-    common(p)
+    p = command("poisson", cmd_poisson, "hard-shell cumulants and moments")
     p.add_argument("--lambda", dest="lam", type=_float_list, default=[0.5, 1.0, 2.0])
     p.add_argument("--orders", type=int, default=6)
     p.add_argument("--moments", type=int, metavar="N", help="also compute moments up to order N")
     p.add_argument("--grid-bins", dest="bins", type=int, default=64)
     p.add_argument("--e-max", type=float, default=8.0)
     p.add_argument("--omega-index", type=int, default=0)
-    p.set_defaults(fn=cmd_poisson)
 
-    p = sub.add_parser("independence", help="decay of correlations between separated groups")
-    common(p)
+    p = command("independence", cmd_independence, "decay of correlations between separated groups")
     p.add_argument("--epsilons", type=_float_list, default=[0.2, 0.1, 0.05])
     p.add_argument("--groups", help="semicolon-separated 1-based symbol index groups, e.g. '1,2;3'")
     p.add_argument("--separation", type=float, default=10.0,
                    help="required group separation in units of the mean time width")
-    p.set_defaults(fn=cmd_independence)
 
-    p = sub.add_parser("wn-expect", help="symbolic white-noise vacuum expectation")
-    common(p)
-    p.add_argument("--symbols", help="JSON file with a symbols array (f/g names used)")
+    p = command("wn-expect", cmd_wn_expect, "symbolic white-noise vacuum expectation", symbols=True)
     p.add_argument("--pairs", help="f:g pairs, e.g. 'a:b,b:a' (defaults to config symbols)")
     p.add_argument("--order", type=int, help="use only the first k symbols")
     p.add_argument("--connected-only", action="store_true", help="drop the scalar part of each symbol")
     p.add_argument("--show-steps", action="store_true", help="print each normal-ordering branch")
-    p.set_defaults(fn=cmd_wn_expect)
 
-    p = sub.add_parser("diagrams", help="pairing diagram census")
-    common(p)
+    p = command("diagrams", cmd_diagrams, "pairing diagram census")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--list", action="store_true", help="one row per diagram")
-    p.set_defaults(fn=cmd_diagrams)
 
-    p = sub.add_parser("bell", help="Bell numbers and Touchard moments")
-    common(p)
+    p = command("bell", cmd_bell, "Bell numbers and Touchard moments")
     p.add_argument("--n", dest="max_order", type=int, default=6)
     p.add_argument("--lam", type=float, default=1.0)
-    p.set_defaults(fn=cmd_bell)
 
-    p = sub.add_parser("delta-lemma", help="oscillatory integral against its delta limit")
-    common(p)
+    p = command("delta-lemma", cmd_delta_lemma, "oscillatory integral against its delta limit")
     p.add_argument("--epsilons", type=_float_list, default=[0.1, 0.03, 0.01])
     p.add_argument("--sigma-t", type=float, default=1.0, help="time width of the gaussian phi")
     p.add_argument("--sigma-x", type=float, default=1.0, help="width of the gaussian space factor")
@@ -468,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi-lo", type=float, default=-1.0)
     p.add_argument("--phi-hi", type=float, default=1.0)
     p.add_argument("--f-center", type=float, default=0.0)
-    p.set_defaults(fn=cmd_delta_lemma)
 
     return parser
 
@@ -487,9 +434,6 @@ def main(argv=None) -> int:
     except AssertionFailed as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, GridAlignmentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -55,17 +55,32 @@ def _integer(value: Any, path: str) -> int:
     return value
 
 
-def load_config(path: str) -> dict:
+def _read_json(path: str, what: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def load_config(path: str) -> dict:
+    cfg = _read_json(path, "config")
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return cfg
+
+
+def load_symbols(path: str) -> list:
+    """Symbols array from a JSON file holding the array itself or an object
+    with a "symbols" key."""
+    data = _read_json(path, "symbols")
+    if isinstance(data, dict):
+        data = data.get("symbols")
+    if not isinstance(data, list):
+        raise ConfigError(f"{path}: expected a symbols array or an object with a 'symbols' key")
+    return data
 
 
 def grid_from_config(cfg: Mapping[str, Any], path: str = "grid") -> EnergyGrid:

@@ -27,7 +27,7 @@ from math import ceil
 import numpy as np
 from scipy.integrate import quad
 
-from .partitions import PairDiagram, classify, enumerate_pair_diagrams, enumerate_set_partitions
+from .partitions import PairDiagram, classify, enumerate_pair_diagrams
 from .report import ConvergenceReport, SweepRow
 from .spectral import DensityProfile, EnergyGrid, ShellAmplitude, SpectralModel, limit_truncated_smeared
 from .symbols import GAUSSIAN, INDICATOR, TestFunction
@@ -197,43 +197,22 @@ def correlation_smeared(model: SpectralModel, symbols, epsilon: float) -> comple
     return complex(sum(pairing_term_smeared(model, symbols, d, epsilon).value for d in enumerate_pair_diagrams(len(symbols))))
 
 
-def truncated_smeared(model: SpectralModel, symbols, epsilon: float, method: str = "cycles") -> complex:
-    """Truncated smeared correlation.
+def _irreducible_terms(model: SpectralModel, symbols: list, epsilon: float):
+    """Pairing terms of the irreducible (single-cycle) diagrams, the only
+    ones that contribute to the truncated correlation."""
+    for d in enumerate_pair_diagrams(len(symbols)):
+        if classify(d).irreducible:
+            yield pairing_term_smeared(model, symbols, d, epsilon)
 
-    method="cycles" sums the irreducible (single-cycle) diagrams only.
-    method="recursive" applies the defining recursion
+
+def truncated_smeared(model: SpectralModel, symbols, epsilon: float) -> complex:
+    """Truncated smeared correlation: the sum of the irreducible
+    (single-cycle) diagrams only.  It equals the defining recursion
     W^T(S) = W(S) - sum over partitions of S into >= 2 increasing blocks of
-    the product of W^T(block), with W from correlation_smeared.  The two
-    must agree to roundoff; both are exposed so tests can cross them.
-    """
+    the product of W^T(block), i.e. truncated_from_full applied to the
+    correlation_smeared family; the tests cross the two."""
     symbols = list(symbols)
-    n = len(symbols)
-    if method == "cycles":
-        total = 0j
-        for d in enumerate_pair_diagrams(n):
-            if classify(d).irreducible:
-                total += pairing_term_smeared(model, symbols, d, epsilon).value
-        return complex(total)
-    if method == "recursive":
-        cache: dict[tuple[int, ...], complex] = {}
-
-        def trunc(subset: tuple[int, ...]) -> complex:
-            if subset in cache:
-                return cache[subset]
-            sub = [symbols[i - 1] for i in subset]
-            val = correlation_smeared(model, sub, epsilon)
-            for part in enumerate_set_partitions(len(subset)):
-                if len(part) < 2:
-                    continue
-                prod = 1.0 + 0j
-                for block in part.blocks:
-                    prod *= trunc(tuple(subset[i - 1] for i in block))
-                val -= prod
-            cache[subset] = val
-            return val
-
-        return trunc(tuple(range(1, n + 1)))
-    raise ValueError(f"unknown truncation method {method!r}")
+    return complex(sum(term.value for term in _irreducible_terms(model, symbols, epsilon)))
 
 
 def convergence_sweep(model: SpectralModel, symbols, epsilons) -> ConvergenceReport:
@@ -247,10 +226,7 @@ def convergence_sweep(model: SpectralModel, symbols, epsilons) -> ConvergenceRep
         breakdown: dict[str, complex] = {}
         warnings: tuple[str, ...] = ()
         total = 0j
-        for d in enumerate_pair_diagrams(n):
-            if not classify(d).irreducible:
-                continue
-            term = pairing_term_smeared(model, symbols, d, eps)
+        for term in _irreducible_terms(model, symbols, eps):
             breakdown[term.diagram.label()] = term.value
             warnings = term.warnings
             total += term.value

@@ -44,7 +44,9 @@ def _subsets(n: int):
 @dataclass(frozen=True, eq=False)
 class CorrelationFamily:
     """Values of a correlation on every nonempty increasing index subset of
-    {1..n}; the operands the truncation recursion consumes and produces."""
+    {1..n}; the operands the truncation recursion consumes and produces,
+    full correlations or moments on one side, truncated correlations or
+    joint cumulants on the other."""
 
     arity: int
     values: dict[tuple[int, ...], complex]
@@ -60,17 +62,6 @@ class CorrelationFamily:
     @classmethod
     def from_function(cls, arity: int, fn: Callable[[tuple[int, ...]], complex]) -> "CorrelationFamily":
         return cls(arity, {s: complex(fn(s)) for s in _subsets(arity)})
-
-    def value(self, subset) -> complex:
-        return self.values[tuple(subset)]
-
-
-@dataclass(frozen=True, eq=False)
-class CumulantTable:
-    """Joint cumulants on index subsets; identical shape to a family."""
-
-    arity: int
-    values: dict[tuple[int, ...], complex]
 
     def value(self, subset) -> complex:
         return self.values[tuple(subset)]
@@ -115,14 +106,14 @@ def full_from_truncated(family: CorrelationFamily) -> CorrelationFamily:
     return CorrelationFamily(family.arity, _full_from_connected(family.arity, family.values))
 
 
-def cumulants_from_moments(family: CorrelationFamily) -> CumulantTable:
+def cumulants_from_moments(family: CorrelationFamily) -> CorrelationFamily:
     """Joint cumulants of the family; by the truncation identity these are
     exactly the truncated correlations."""
-    return CumulantTable(family.arity, _connected_from_full(family.arity, family.values))
+    return CorrelationFamily(family.arity, _connected_from_full(family.arity, family.values))
 
 
-def moments_from_cumulants(table: CumulantTable) -> CorrelationFamily:
-    return CorrelationFamily(table.arity, _full_from_connected(table.arity, table.values))
+def moments_from_cumulants(family: CorrelationFamily) -> CorrelationFamily:
+    return CorrelationFamily(family.arity, _full_from_connected(family.arity, family.values))
 
 
 def limit_cumulant(model: SpectralModel, kernel: ShellKernel, omega: FrequencyIndex, phi: TestFunction, order: int) -> complex:
@@ -183,8 +174,7 @@ def poisson_moments(lam: float, n_max: int) -> list[float]:
     lambda = 1."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    table = CumulantTable(n_max, {s: complex(lam) for s in _subsets(n_max)})
-    family = moments_from_cumulants(table)
+    family = moments_from_cumulants(CorrelationFamily.from_function(n_max, lambda s: lam))
     return [family.value(tuple(range(1, n + 1))).real for n in range(1, n_max + 1)]
 
 

@@ -10,7 +10,6 @@ import pytest
 from helpers import gaussian_shell_model, random_model, random_symbols
 from lowdensity import (
     CorrelationFamily,
-    CumulantTable,
     FrequencyIndex,
     NumberSymbol,
     PairDiagram,
@@ -164,8 +163,9 @@ def test_criterion_08_truncation_equals_cycles():
         model = random_model(rng, bins=10 if n < 4 else 8)
         symbols = random_symbols(rng, n, s_choices=(0, 1, -1))
         eps = float(rng.uniform(0.15, 0.35))
-        cyc = truncated_smeared(model, symbols, eps, method="cycles")
-        rec = truncated_smeared(model, symbols, eps, method="recursive")
+        cyc = truncated_smeared(model, symbols, eps)
+        full = CorrelationFamily.from_function(n, lambda s: correlation_smeared(model, [symbols[i - 1] for i in s], eps))
+        rec = truncated_from_full(full).value(tuple(range(1, n + 1)))
         assert abs(cyc - rec) <= 1e-9 * max(1.0, abs(rec))
 
 
@@ -232,7 +232,7 @@ def test_criterion_12_transform_roundtrips():
         fam = CorrelationFamily(n, values)
         back = full_from_truncated(truncated_from_full(fam))
         assert max(abs(back.value(s) - fam.value(s)) for s in _subsets(n)) <= 1e-12
-        table = CumulantTable(n, values)
+        table = CorrelationFamily(n, values)
         again = cumulants_from_moments(moments_from_cumulants(table))
         assert max(abs(again.value(s) - table.value(s)) for s in _subsets(n)) <= 1e-12
 

@@ -197,6 +197,52 @@ def test_delta_lemma_indicator_phi():
     ]) == 0
 
 
+REPORT_HEADER = ",".join(CSV_COLUMNS)
+TABLES = {
+    "limit": ([], "n,omega_gate_passed,coeff_re,coeff_im,limit_re,limit_im,delta_chain_order"),
+    "sweep": (["--epsilons", "0.2"], REPORT_HEADER),
+    "free-check": (["--random", "2", "--seed", "5"], "trial,n,free_re,free_im,limit_re,limit_im,diff"),
+    "poisson": (["--lambda", "0.5", "--orders", "2", "--moments", "2", "--grid-bins", "32", "--e-max", "4"],
+                "lam,kind,order,value_re,value_im,target_re,abs_err"),
+    "independence": (["--groups", "1;2", "--epsilons", "0.2", "--separation", "0.1"], REPORT_HEADER),
+    "wn-expect": (["--pairs", "a:b,b:a"], "partition,delta_chain_order,value_re,value_im"),
+    "diagrams": (["--n", "3"], "n,total,irreducible,surviving"),
+    "bell": (["--n", "3"], "order,bell,touchard"),
+    "delta-lemma": (["--epsilons", "0.1"], REPORT_HEADER),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", sorted(TABLES))
+def test_every_command_writes_table_and_sidecar(command, fmt, config_path, tmp_path, capsys):
+    extra, header = TABLES[command]
+    out = tmp_path / f"table.{fmt}"
+    assert main([command, "--config", config_path, *extra, "--format", fmt, "--out", str(out)]) == 0
+    if fmt == "csv":
+        assert out.read_text().splitlines()[0] == header
+    else:
+        doc = json.loads(out.read_text())
+        report = command in ("sweep", "independence", "delta-lemma")
+        assert set(doc) == ({"kind", "metadata", "rows"} if report else {"metadata", "rows"})
+        assert doc["rows"]
+        if not report:
+            assert list(doc["rows"][0]) == sorted(header.split(","))
+    meta = json.loads((tmp_path / f"table.{fmt}.meta.json").read_text())
+    assert meta["command"] == command
+
+
+def test_symbols_file_overrides_config(config_path, tmp_path, capsys):
+    path = tmp_path / "symbols.json"
+    path.write_text(json.dumps({"symbols": CONFIG["symbols"][:1]}))
+    assert main(["limit", "--config", config_path, "--symbols", str(path)]) == 0
+    assert "n = 1" in capsys.readouterr().out
+    path.write_text(json.dumps({"no_symbols": []}))
+    assert main(["limit", "--symbols", str(path)]) == 1
+    assert "expected a symbols array" in capsys.readouterr().err
+    assert main(["limit", "--symbols", str(tmp_path / "missing.json")]) == 1
+    assert "cannot read symbols file" in capsys.readouterr().err
+
+
 def test_unknown_command_exits_one(capsys):
     assert main(["no-such-command"]) == 1
     assert "error" in capsys.readouterr().err

@@ -12,7 +12,6 @@ from helpers import (
 )
 from lowdensity import (
     CorrelationFamily,
-    CumulantTable,
     FrequencyIndex,
     GridAlignmentError,
     NumberSymbol,
@@ -56,7 +55,7 @@ def test_transform_roundtrips(rng):
 def test_moments_from_cumulants_against_partition_oracle(rng):
     for n in range(1, 6):
         kappa = {s: complex(rng.normal(), rng.normal()) for s in _subsets(n)}
-        fam = moments_from_cumulants(CumulantTable(n, kappa))
+        fam = moments_from_cumulants(CorrelationFamily(n, kappa))
         for s in _subsets(n):
             assert fam.value(s) == pytest.approx(moments_from_cumulants_oracle(s, kappa), abs=1e-11)
 
