@@ -397,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", help="f:g pairs, e.g. 'a:b,b:a' (defaults to config symbols)")
     p.add_argument("--order", type=int, help="use only the first k symbols")
     p.add_argument("--connected-only", action="store_true", help="drop the scalar part of each symbol")
-    p.add_argument("--show-steps", action="store_true", help="print each normal-ordering branch")
+    p.add_argument("--show-steps", action="store_true",
+                   help="print each expansion branch that reaches the vacuum and its scalar terms")
 
     p = command("diagrams", cmd_diagrams, "pairing diagram census")
     p.add_argument("--n", type=int, default=4)

@@ -2,10 +2,10 @@
 
 write_table serializes a list of row dicts.  ConvergenceReport holds the
 shared row shape of epsilon sweeps against a limiting value, the delta-lemma
-check, and the independence probe (there the limit column is 0), and writes
-itself through write_table.  Float cells are written with repr, which is
-shortest-roundtrip in Python 3, so identical inputs produce byte-identical
-files.
+check, and the independence probe (there the limit column is 0, so rel_err
+is nan in CSV and null in JSON), and writes itself through write_table.
+Float cells are written with repr, which is shortest-roundtrip in Python 3,
+so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -87,7 +87,8 @@ class ConvergenceReport:
             "value": [row.value.real, row.value.imag],
             "limit": [row.limit.real, row.limit.imag],
             "abs_err": row.abs_err,
-            "rel_err": row.rel_err,
+            # JSON has no NaN; a zero limit leaves rel_err undefined
+            "rel_err": None if math.isnan(row.rel_err) else row.rel_err,
             "breakdown": {k: [v.real, v.imag] for k, v in sorted(row.breakdown.items())},
             "warnings": list(row.warnings),
         }

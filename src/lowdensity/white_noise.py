@@ -22,8 +22,11 @@ companion of the second (NG* swaps labels).  Delta atoms are symmetric, and
 within any product each delta graph stays a forest, so a term's delta
 structure is canonically the induced partition of its variables.
 
-Normal order puts creators left, gauge middle, annihilators right; vacuum
-expectations keep only the generator-free terms.  Each smeared number symbol
+Normal order puts creators left, gauge middle, annihilators right.  A vacuum
+expectation needs only the generator-free terms, so it drops a word as soon
+as the vacuum kills it: B- and NG annihilate Omega, and <Omega| kills B+ and
+NG, so only the empty word and words that start with B- and end with B+ are
+rewritten further.  Each smeared number symbol
 expands as N_{f,g}(t) = integral dE [ NG_{f,g} + B-_{g,f} + B+_{f,g} ](E,t)
 plus, by default, the scalar gamma_{f,g} = integral dE ipn(g,f,E); without
 the scalar the engine reproduces truncated correlations only.
@@ -48,6 +51,7 @@ _ANTI_RANK = {ANNIHILATE: 0, GAUGE: 1, CREATE: 2}
 _KIND_MARK = {CREATE: "B+", GAUGE: "NG", ANNIHILATE: "B-"}
 
 NORMAL_ORDER_STEP_CAP = 5_000_000
+MAX_VACUUM_ORDER = 7
 
 _VAR_RE = re.compile(r"^([A-Za-z]+)(\d+)$")
 
@@ -320,15 +324,17 @@ def commutator_expr(x: WnExpression, y: WnExpression) -> WnExpression:
     return canonicalize(WnExpression(tuple(terms)))
 
 
-def normal_order(expr: WnExpression, ranks: Mapping[str, int] = _NORMAL_RANK) -> WnExpression:
-    """Rewrite xy -> yx + [x,y] until no adjacent pair is disordered.
+def _rewrite(terms: Iterable[WnTerm], ranks: Mapping[str, int], keep=None) -> list[WnTerm]:
+    """Rewrite xy -> yx + [x,y] at the leftmost disordered pair until no pair
+    is disordered; returns the ordered terms, unmerged.  With keep, a new word
+    is dropped unless keep(factors) holds, before its coefficient is built.
 
     Every commutator branch strictly shortens the word and every swap lowers
     the inversion count, so this terminates; the step cap only guards
     against implementation bugs.
     """
     done: list[WnTerm] = []
-    stack = list(expr.terms)
+    stack = list(terms)
     steps = 0
     while stack:
         steps += 1
@@ -341,10 +347,21 @@ def normal_order(expr: WnExpression, ranks: Mapping[str, int] = _NORMAL_RANK) ->
             done.append(term)
             continue
         x, y = fs[spot], fs[spot + 1]
-        stack.append(WnTerm(term.coeff, fs[:spot] + (y, x) + fs[spot + 2 :]))
+        head, tail = fs[:spot], fs[spot + 2 :]
+        swapped = head + (y, x) + tail
+        if keep is None or keep(swapped):
+            stack.append(WnTerm(term.coeff, swapped))
         for ct in commutator(x, y).terms:
-            stack.append(WnTerm(term.coeff * ct.coeff, fs[:spot] + ct.factors + fs[spot + 2 :]))
-    return canonicalize(WnExpression(tuple(done)))
+            word = head + ct.factors + tail
+            if keep is None or keep(word):
+                stack.append(WnTerm(term.coeff * ct.coeff, word))
+    return done
+
+
+def normal_order(expr: WnExpression, ranks: Mapping[str, int] = _NORMAL_RANK) -> WnExpression:
+    """Rewrite xy -> yx + [x,y] until no adjacent pair is disordered, then
+    merge equal terms."""
+    return canonicalize(WnExpression(tuple(_rewrite(expr.terms, ranks))))
 
 
 def anti_normal_order(expr: WnExpression) -> WnExpression:
@@ -402,33 +419,17 @@ def _slot_partition(k: int, t_deltas, prefix: str = "t") -> tuple[tuple[int, ...
     return tuple(sorted((tuple(sorted(c)) for c in classes.values()), key=lambda c: c[0]))
 
 
-def vacuum_expectation(labels: Sequence[tuple[str, str]], include_scalar: bool = True, trace=None) -> VacuumExpectation:
-    """<Omega, N_{f_1,g_1}(t_1) ... N_{f_k,g_k}(t_k) Omega> symbolically.
+def _reaches_vacuum(factors: tuple[WnGenerator, ...]) -> bool:
+    """False when <Omega, word Omega> is zero for every descendant of the word
+    under normal ordering: B- and NG annihilate Omega, <Omega| kills B+ and
+    NG, and rewriting never changes a last B- or NG, nor a first B+ or NG.
+    A non-empty normal-ordered word always fails this test."""
+    return not factors or (factors[0].kind == ANNIHILATE and factors[-1].kind == CREATE)
 
-    Expands each symbol into its generator choices, normal orders every
-    branch, and keeps the generator-free terms.  With include_scalar the
-    result reproduces full correlation functions; without it, only the parts
-    where every slot is contracted into some chain.
-    """
-    labels = tuple((str(f), str(g)) for f, g in labels)
-    k = len(labels)
-    if not 1 <= k <= 5:
-        raise ValueError("vacuum_expectation supports 1 <= k <= 5 symbols")
-    choices = [number_symbol_expansion(l, f, g, include_scalar) for l, (f, g) in enumerate(labels, start=1)]
 
-    collected: list[WnTerm] = []
-    for combo in itertools.product(*choices):
-        coeff = Coefficient()
-        factors: tuple[WnGenerator, ...] = ()
-        for part in combo:
-            coeff = coeff * part.coeff
-            factors = factors + part.factors
-        ordered = normal_order(WnExpression((WnTerm(coeff, factors),)))
-        if trace is not None:
-            trace.append((WnTerm(coeff, factors), ordered))
-        collected.extend(t for t in ordered.terms if not t.factors)
-
-    merged = canonicalize(WnExpression(tuple(collected)))
+def _vacuum_terms(k: int, merged: WnExpression) -> tuple[VacuumTerm, ...]:
+    """Integrate the energy deltas of merged generator-free terms of a
+    k-symbol product into VacuumTerms, sorted by structure."""
     out: list[VacuumTerm] = []
     for term in merged.terms:
         c = term.coeff
@@ -451,7 +452,41 @@ def vacuum_expectation(labels: Sequence[tuple[str, str]], include_scalar: bool =
             )
         )
     out.sort(key=lambda t: (t.time_partition, t.energy_groups))
-    return VacuumExpectation(k=k, labels=labels, include_scalar=include_scalar, terms=tuple(out))
+    return tuple(out)
+
+
+def vacuum_expectation(labels: Sequence[tuple[str, str]], include_scalar: bool = True, trace=None) -> VacuumExpectation:
+    """<Omega, N_{f_1,g_1}(t_1) ... N_{f_k,g_k}(t_k) Omega> symbolically.
+
+    Expands each symbol into its generator choices and normal orders only
+    the branches the vacuum does not kill, dropping every rewritten word it
+    kills, so only generator-free terms remain.  With include_scalar the
+    result reproduces full correlation functions; without it, only the parts
+    where every slot is contracted into some chain.  A trace list receives
+    one (branch, its merged scalar terms) entry per surviving branch.
+    """
+    labels = tuple((str(f), str(g)) for f, g in labels)
+    k = len(labels)
+    if not 1 <= k <= MAX_VACUUM_ORDER:
+        raise ValueError(f"vacuum_expectation supports 1 <= k <= {MAX_VACUUM_ORDER} symbols")
+    choices = [number_symbol_expansion(l, f, g, include_scalar) for l, (f, g) in enumerate(labels, start=1)]
+
+    collected: list[WnTerm] = []
+    for combo in itertools.product(*choices):
+        factors = tuple(g for part in combo for g in part.factors)
+        if not _reaches_vacuum(factors):
+            continue
+        coeff = Coefficient()
+        for part in combo:
+            coeff = coeff * part.coeff
+        branch = WnTerm(coeff, factors)
+        scalars = _rewrite((branch,), _NORMAL_RANK, keep=_reaches_vacuum)
+        if trace is not None:
+            trace.append((branch, canonicalize(WnExpression(tuple(scalars)))))
+        collected.extend(scalars)
+
+    merged = canonicalize(WnExpression(tuple(collected)))
+    return VacuumExpectation(k=k, labels=labels, include_scalar=include_scalar, terms=_vacuum_terms(k, merged))
 
 
 @dataclass(frozen=True, eq=False)

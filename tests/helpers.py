@@ -13,13 +13,21 @@ import itertools
 import numpy as np
 
 from lowdensity import (
+    Coefficient,
     DensityProfile,
     EnergyGrid,
     NumberSymbol,
     ShellAmplitude,
     TestFunction,
+    VacuumExpectation,
+    WnExpression,
+    WnTerm,
+    canonicalize,
     make_model,
+    normal_order,
+    number_symbol_expansion,
 )
+from lowdensity import white_noise
 
 # Known Bell numbers B_0 .. B_12.
 BELL_VALUES = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597]
@@ -149,3 +157,21 @@ def moments_from_cumulants_oracle(subset, kappa):
             prod *= kappa[tuple(subset[i - 1] for i in block)]
         total += prod
     return total
+
+
+def vacuum_expectation_oracle(labels, include_scalar=True):
+    """Vacuum expectation without pruning: normal-order every one of the
+    expansion branches in full, keep the generator-free terms, merge."""
+    labels = tuple((str(f), str(g)) for f, g in labels)
+    k = len(labels)
+    choices = [number_symbol_expansion(l, f, g, include_scalar) for l, (f, g) in enumerate(labels, start=1)]
+    collected = []
+    for combo in itertools.product(*choices):
+        coeff = Coefficient()
+        for part in combo:
+            coeff = coeff * part.coeff
+        word = tuple(g for part in combo for g in part.factors)
+        ordered = normal_order(WnExpression((WnTerm(coeff, word),)))
+        collected.extend(t for t in ordered.terms if not t.factors)
+    merged = canonicalize(WnExpression(tuple(collected)))
+    return VacuumExpectation(k, labels, include_scalar, white_noise._vacuum_terms(k, merged))

@@ -147,6 +147,20 @@ def test_independence_groups_and_assert(config_path):
     ]) == 0
 
 
+def test_independence_json_has_no_nan(tmp_path):
+    out = tmp_path / "probe.json"
+    assert main([
+        "independence", "--groups", "1;2", "--epsilons", "0.2,0.1", "--separation", "0.1",
+        "--format", "json", "--out", str(out),
+    ]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    assert doc["rows"] and all(row["rel_err"] is None for row in doc["rows"])
+
+
 def test_independence_bad_groups(config_path, capsys):
     assert main(["independence", "--config", config_path, "--groups", "1;1,2"]) == 1
     assert "exactly once" in capsys.readouterr().err
@@ -157,6 +171,12 @@ def test_wn_expect_pairs_and_assert(capsys):
     assert main(["wn-expect", "--pairs", "a:b,b:a", "--assert"]) == 0
     out = capsys.readouterr().out
     assert "connected" in out
+
+
+def test_wn_expect_six_symbols_assert(capsys):
+    # k = 6 lies above the old cap; --assert checks the spectral chain
+    assert main(["wn-expect", "--pairs", "a:b,b:a,a:a,b:b,a:b,b:a", "--assert"]) == 0
+    assert "chain coefficient check" in capsys.readouterr().out
 
 
 def test_wn_expect_connected_only_and_order(capsys):

@@ -1,9 +1,13 @@
 """Symbolic white-noise algebra: commutation relations, delta-graph
 canonicalization, normal ordering, and vacuum expectations."""
 
-import pytest
+import itertools
 
-from helpers import random_model
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from helpers import BELL_VALUES, random_model, rgs_partitions, vacuum_expectation_oracle
 from lowdensity import (
     Coefficient,
     FrequencyIndex,
@@ -212,6 +216,8 @@ def test_step_cap_guard(monkeypatch):
     factors += [creator("x", "y", f"E{i}", f"t{i}") for i in range(4, 7)]
     with pytest.raises(RuntimeError):
         normal_order(word(*factors))
+    with pytest.raises(RuntimeError):
+        vacuum_expectation([("u", "v")] * 4)
 
 
 def test_number_symbol_expansion_choices():
@@ -236,12 +242,23 @@ def test_vacuum_expectation_order_one():
 
 
 def test_vacuum_term_census_is_bell(rng):
-    for k in range(1, 5):
+    for k in range(1, wn.MAX_VACUUM_ORDER + 1):
         labels = [("a", "b") if i % 2 == 0 else ("b", "a") for i in range(k)]
         vac = vacuum_expectation(labels)
-        assert len(vac.terms) == bell(k)
+        assert len(vac.terms) == bell(k) == BELL_VALUES[k]
         partitions = {t.time_partition for t in vac.terms}
         assert len(partitions) == bell(k)
+
+
+def test_connected_only_census_is_singleton_free():
+    # without the scalar part every slot sits in a chain of length >= 2
+    counts = {2: 1, 3: 1, 4: 4, 5: 11, 6: 41, 7: 162}
+    for k, count in counts.items():
+        labels = [("a", "b") if i % 2 == 0 else ("b", "a") for i in range(k)]
+        vac = vacuum_expectation(labels, include_scalar=False)
+        assert len(vac.terms) == count
+        want = {p for p in rgs_partitions(k) if min(len(b) for b in p) > 1}
+        assert {t.time_partition for t in vac.terms} == want
 
 
 def test_connected_term_structure():
@@ -258,18 +275,46 @@ def test_connected_term_structure():
 
 def test_vacuum_expectation_size_guard():
     with pytest.raises(ValueError):
-        vacuum_expectation([("a", "b")] * 6)
+        vacuum_expectation([("a", "b")] * (wn.MAX_VACUUM_ORDER + 1))
     with pytest.raises(ValueError):
         vacuum_expectation([])
 
 
 def test_trace_records_every_branch():
+    # of the 16 expansion branches only the empty word and B- B+ reach the
+    # vacuum; each dropped branch normal-orders to generator terms alone
     trace = []
     vacuum_expectation([("a", "b")] * 2, trace=trace)
-    assert len(trace) == 16  # 4 expansion choices per slot
-    before, after = trace[0]
-    assert isinstance(before, WnTerm)
-    assert isinstance(after, WnExpression)
+    kinds = sorted(tuple(g.kind for g in before.factors) for before, _ in trace)
+    assert kinds == [(), (wn.ANNIHILATE, wn.CREATE)]
+    for before, after in trace:
+        assert isinstance(before, WnTerm)
+        assert isinstance(after, WnExpression)
+        assert after.terms and all(not t.factors for t in after.terms)
+    traced = {before.factors for before, _ in trace}
+    choices = [number_symbol_expansion(l, "a", "b", include_scalar=True) for l in (1, 2)]
+    dropped = [
+        WnTerm(p1.coeff * p2.coeff, p1.factors + p2.factors)
+        for p1, p2 in itertools.product(*choices)
+        if p1.factors + p2.factors not in traced
+    ]
+    assert len(dropped) == 14
+    for branch in dropped:
+        assert all(t.factors for t in normal_order(WnExpression((branch,))).terms)
+
+
+K5_LABELS = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "a"), ("b", "c")]
+
+
+@given(
+    labels=st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from("abc")), min_size=1, max_size=4),
+    include_scalar=st.booleans(),
+)
+@example(labels=K5_LABELS, include_scalar=True)
+@example(labels=K5_LABELS, include_scalar=False)
+def test_pruned_vacuum_expectation_matches_full_ordering(labels, include_scalar):
+    got = vacuum_expectation(labels, include_scalar=include_scalar)
+    assert got.terms == vacuum_expectation_oracle(labels, include_scalar=include_scalar).terms
 
 
 def test_evaluate_connected_matches_limit_coefficient(rng):
