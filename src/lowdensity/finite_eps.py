@@ -12,24 +12,35 @@ lattice sum
 
 with kern a density factor n(E) for creator-first pairs and a commutator
 factor (1 + eps n(E)) otherwise.  The kernel and Fourier factors both
-factorize over the cycles of sigma, so the lattice sum is evaluated exactly
-as a product of traces of M x M matrix chains, one chain per cycle; a
-brute-force nested sum would cost M^n.  Reducible diagrams therefore equal
-the product of their irreducible components by construction, and the tests
-pin the contraction against an independent nested-sum oracle.
+factorize over the cycles of sigma, so the lattice sum is a product of one
+trace per cycle, trace(D_1 T_1 ... D_r T_r) with diagonal kernels D_i and
+Fourier factors T_i[a, b] = ft((E_b - E_a - omega)/eps); a brute-force
+nested sum would cost M^n.  On the uniform grid T_i depends only on the lag
+b - a, so each target slot needs one lag vector of 2M - 1 Fourier points,
+and the M x M factors are zero-copy Toeplitz views of it.  A 2-cycle is one
+O(M^2) Hadamard sum; an r-cycle takes r - 2 Toeplitz products by FFT on a
+circulant embedding (Golub & Van Loan, Matrix Computations, 4.7), then a
+Hadamard sum with its last link.  Lag vectors, their FFTs, kernel vectors
+and resolution warnings are built once per (model, symbols, eps) and
+shared by every diagram.  Reducible diagrams therefore equal the product of
+their irreducible components by construction, and the tests pin the
+contraction against an independent nested-sum oracle and the dense matrix
+chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import fft, ifft, next_fast_len
 from scipy.integrate import quad
 
 from .partitions import PairDiagram, classify, enumerate_pair_diagrams
 from .report import ConvergenceReport, SweepRow
-from .spectral import DensityProfile, EnergyGrid, ShellAmplitude, SpectralModel, limit_truncated_smeared
+from .spectral import SpectralModel, limit_truncated_smeared
 from .symbols import GAUSSIAN, INDICATOR, TestFunction
 
 DENSITY = "density"
@@ -37,8 +48,8 @@ COMMUTATOR = "commutator"
 
 MAX_FIXED_TIME_N = 5
 MAX_SMEARED_N = 4
-COARSE_BIN_LIMIT = 64  # n = 4 lattice guard
 RESOLUTION_BINS = 8.0  # bins required across a Fourier factor's width eps/sigma
+_ROW_BLOCK = 128  # rows per FFT block: work arrays stay _ROW_BLOCK x next_fast_len(2M - 1)
 
 
 def two_point(model: SpectralModel, f: str, g: str, kind: str, tau: float, epsilon: float) -> complex:
@@ -118,26 +129,79 @@ def resolution_warnings(model: SpectralModel, symbols, epsilon: float) -> tuple[
     return ()
 
 
-def _coarsen_model(model: SpectralModel, max_bins: int) -> tuple[SpectralModel, str]:
-    grid = model.grid
-    factor = ceil(grid.bins / max_bins)
-    new_bins = grid.bins // factor
-    used = new_bins * factor
-    # block means land exactly on the coarse bin centers for smooth profiles
-    density = model.density.values[:used].reshape(new_bins, factor).mean(axis=1)
-    vectors = {
-        name: ShellAmplitude(name, amp.values[:used].reshape(new_bins, factor).mean(axis=1))
-        for name, amp in model.vectors.items()
-    }
-    new_grid = EnergyGrid(e_min=grid.e_min, e_max=grid.e_min + used * grid.delta_e, bins=new_bins)
-    coarse = SpectralModel(grid=new_grid, density=DensityProfile(density), vectors=vectors)
-    note = f"bins reduced {grid.bins} -> {new_bins} (factor {factor}) for the n=4 lattice sum"
-    return coarse, note
+class _PairingFactors:
+    """The diagram-independent part of every pairing diagram of one
+    (model, symbols, epsilon): the resolution warnings, one lag vector per
+    target slot m,
+
+        t_m[d] = ft_m((d delta_e - omega_m)/eps),   d = -(M-1) .. M-1,
+
+    stored at index d + M - 1, its FFT on next_fast_len(2M - 1) points, and
+    the kernel vectors kern(l, j) of every slot pair.
+    """
+
+    def __init__(self, model: SpectralModel, symbols: tuple, epsilon: float):
+        grid = model.grid
+        m = grid.bins
+        self.m = m
+        self.delta_e = grid.delta_e
+        self.size = next_fast_len(2 * m - 1)
+        self.warnings = resolution_warnings(model, symbols, epsilon)
+        lags = np.arange(1 - m, m) * grid.delta_e  # E_b - E_a at lag b - a
+        self.lag = [s.phi.fourier((lags - s.omega.omega(grid)) / epsilon) for s in symbols]
+        self.lag_fft = [fft(t, self.size) for t in self.lag]
+        occupation = {DENSITY: model.density.values, COMMUTATOR: 1.0 + epsilon * model.density.values}
+        self.kern = {
+            (l, j): np.conj(model.amplitude(sj.g)) * model.amplitude(sl.f) * occupation[DENSITY if l <= j else COMMUTATOR]
+            for l, sl in enumerate(symbols, start=1)
+            for j, sj in enumerate(symbols, start=1)
+        }
+
+    def cycle_value(self, cycle: tuple[int, ...]) -> complex:
+        """delta_e^r trace(D_1 T_1 ... D_r T_r) for the cycle l_1 -> .. -> l_r,
+        with D_i = diag(kern(l_i, l_{i+1})) and T_i[a, b] = t_{l_{i+1}}[b - a]."""
+        m, r = self.m, len(cycle)
+        targets = cycle[1:] + cycle[:1]
+        kern = [self.kern[pair] for pair in zip(cycle, targets)]
+        if r == 1:
+            return self.delta_e * np.sum(kern[0]) * self.lag[cycle[0] - 1][m - 1]
+        # zero-copy Toeplitz views: window[i, j] = t[i + j - (M-1)]
+        first = sliding_window_view(self.lag[targets[0] - 1], m)[::-1]  # T[a, b] = t[b - a]
+        last = sliding_window_view(self.lag[targets[-1] - 1], m)[:, ::-1]  # T^T[a, b] = t[a - b]
+        total = 0j
+        for lo in range(0, m, _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            x = kern[0][rows, None] * first[rows]
+            # (x D T)[a, b] = sum_c x[a, c] k[c] t[b - c]: a linear convolution
+            # along rows, exact on a circulant of >= 2M - 1 points
+            for k, j in zip(kern[1:-1], targets[1:-1]):
+                x = ifft(fft(x * k, self.size, axis=1) * self.lag_fft[j - 1], axis=1)[:, m - 1 : 2 * m - 1]
+            total += np.sum(x * kern[-1] * last[rows])
+        return self.delta_e**r * total
+
+
+@lru_cache(maxsize=1)
+def _pairing_factors(model: SpectralModel, symbols: tuple, epsilon: float) -> _PairingFactors:
+    """Shared factors of the latest (model, symbols, epsilon), so that the
+    diagrams of one correlation_smeared or truncated call build them once.
+    The model is keyed by identity; models are not mutated after make_model."""
+    return _PairingFactors(model, symbols, epsilon)
 
 
 def pairing_term_smeared(model: SpectralModel, symbols, diagram: PairDiagram, epsilon: float) -> PairingTerm:
-    """Smeared value of one pairing diagram, evaluated cycle by cycle."""
-    symbols = list(symbols)
+    """Smeared value of one pairing diagram, eps^(k-n) times one trace per
+    cycle of sigma.
+
+    A 1-cycle is delta_e sum(kern) ft(-omega/eps).  An r-cycle with r >= 2
+    is delta_e^r trace(D_1 T_1 ... D_r T_r) over the Toeplitz factors
+    T_i[a, b] = ft((E_b - E_a - omega)/eps), zero-copy views of one lag
+    vector per target slot: a 2-cycle is one Hadamard sum, a longer one
+    r - 2 Toeplitz products by FFT followed by a Hadamard sum with the last
+    link, over row blocks.  Lag vectors, their FFTs, kernel vectors and
+    resolution warnings are shared with the previous call when the model
+    (by identity), the symbols and epsilon are the same.
+    """
+    symbols = tuple(symbols)
     n = len(symbols)
     if not 1 <= n <= MAX_SMEARED_N:
         raise ValueError(f"pairing_term_smeared supports 1 <= n <= {MAX_SMEARED_N}")
@@ -146,48 +210,18 @@ def pairing_term_smeared(model: SpectralModel, symbols, diagram: PairDiagram, ep
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
 
-    warnings = list(resolution_warnings(model, symbols, epsilon))
-    if n == 4 and model.grid.bins > COARSE_BIN_LIMIT:
-        model, note = _coarsen_model(model, COARSE_BIN_LIMIT)
-        warnings.append(note)
-
-    grid = model.grid
-    e = grid.centers
-    diff = e[None, :] - e[:, None]  # diff[a, b] = E_b - E_a
-    omegas = [s.omega.omega(grid) for s in symbols]
-
-    kinds = tuple(DENSITY if l <= diagram.image(l) else COMMUTATOR for l in range(1, n + 1))
-
-    def kern(l: int) -> np.ndarray:
-        j = diagram.image(l)
-        base = np.conj(model.amplitude(symbols[j - 1].g)) * model.amplitude(symbols[l - 1].f)
-        if kinds[l - 1] == DENSITY:
-            return base * model.density.values
-        return base * (1.0 + epsilon * model.density.values)
-
+    factors = _pairing_factors(model, symbols, float(epsilon))
     value = complex(epsilon ** (diagram.k - n))
     for cycle in diagram.cycles():
-        r = len(cycle)
-        if r == 1:
-            l = cycle[0]
-            ft = symbols[l - 1].phi.fourier(-omegas[l - 1] / epsilon)
-            value *= grid.delta_e * np.sum(kern(l)) * ft
-            continue
-        chain = None
-        for i in range(r):
-            l_here, l_next = cycle[i], cycle[(i + 1) % r]
-            ft = symbols[l_next - 1].phi.fourier((diff - omegas[l_next - 1]) / epsilon)
-            b = kern(l_here)[:, None] * ft
-            chain = b if chain is None else chain @ b
-        value *= grid.delta_e**r * np.trace(chain)
+        value *= factors.cycle_value(cycle)
 
     return PairingTerm(
         diagram=diagram,
         epsilon=epsilon,
         value=complex(value),
         k=diagram.k,
-        pair_kinds=kinds,
-        warnings=tuple(warnings),
+        pair_kinds=tuple(DENSITY if l <= diagram.image(l) else COMMUTATOR for l in range(1, n + 1)),
+        warnings=factors.warnings,
     )
 
 

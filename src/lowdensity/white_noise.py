@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from math import pi
 from typing import Iterable, Mapping, Sequence
 
@@ -56,6 +57,7 @@ MAX_VACUUM_ORDER = 7
 _VAR_RE = re.compile(r"^([A-Za-z]+)(\d+)$")
 
 
+@lru_cache(maxsize=256)  # names come from a small set (E1..Ek, t1..tk); parse each once
 def _var_key(name: str):
     m = _VAR_RE.match(name)
     if m:

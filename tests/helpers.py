@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's factored code paths:
 partitions come from restricted growth strings, pairing values from a raw
-n-fold lattice sum, limit coefficients from an explicit shifted-diagonal
-loop.  They are slow and only meant for tiny sizes.
+n-fold lattice sum or from dense M x M matrix chains, limit coefficients
+from an explicit shifted-diagonal loop.  They are slow and only meant for
+tiny sizes.
 """
 
 from __future__ import annotations
@@ -122,6 +123,40 @@ def pairing_oracle(model, symbols, diagram, epsilon):
             term *= symbols[m - 1].phi.fourier(xi)
         total += term
     return complex(total * grid.delta_e**n * epsilon ** (diagram.k - n))
+
+
+def pairing_chain_oracle(model, symbols, diagram, epsilon):
+    """Dense cycle contraction for one smeared diagram: every cycle edge
+    builds its full M x M kernel-times-Fourier matrix from the energy
+    differences E_b - E_a, and each cycle is the trace of their matrix
+    product.  Same factorization as the library, none of its Toeplitz, FFT
+    or shared-factor machinery; cost M^3 per edge."""
+    grid = model.grid
+    e = grid.centers
+    n = len(symbols)
+    diff = e[None, :] - e[:, None]  # diff[a, b] = E_b - E_a
+    omegas = [s.omega.omega(grid) for s in symbols]
+
+    def kern(l):
+        j = diagram.image(l)
+        base = np.conj(model.amplitude(symbols[j - 1].g)) * model.amplitude(symbols[l - 1].f)
+        occ = model.density.values
+        return base * (occ if l <= j else 1.0 + epsilon * occ)
+
+    value = complex(epsilon ** (diagram.k - n))
+    for cycle in diagram.cycles():
+        r = len(cycle)
+        if r == 1:
+            l = cycle[0]
+            value *= grid.delta_e * np.sum(kern(l)) * symbols[l - 1].phi.fourier(-omegas[l - 1] / epsilon)
+            continue
+        chain = None
+        for i in range(r):
+            l_here, l_next = cycle[i], cycle[(i + 1) % r]
+            b = kern(l_here)[:, None] * symbols[l_next - 1].phi.fourier((diff - omegas[l_next - 1]) / epsilon)
+            chain = b if chain is None else chain @ b
+        value *= grid.delta_e**r * np.trace(chain)
+    return complex(value)
 
 
 def coefficient_oracle(model, kernels, s_indices):

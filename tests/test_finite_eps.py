@@ -1,7 +1,9 @@
 """Finite-epsilon pairing sums.
 
-The load-bearing test here pins pairing_term_smeared against a raw n-fold
-lattice sum (helpers.pairing_oracle) that never factorizes over cycles.
+The load-bearing tests here pin pairing_term_smeared against a raw n-fold
+lattice sum (helpers.pairing_oracle) that never factorizes over cycles, and
+its Toeplitz/FFT contraction against dense M x M matrix chains
+(helpers.pairing_chain_oracle).
 Everything else checks the structural identities the expansion must obey:
 factorization over components, the truncation recursion, hermiticity, and
 the epsilon-order bookkeeping.
@@ -9,8 +11,10 @@ the epsilon-order bookkeeping.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import gaussian_shell_model, pairing_oracle, random_model, random_phi, random_symbols
+from helpers import gaussian_shell_model, pairing_chain_oracle, pairing_oracle, random_model, random_phi, random_symbols
 from lowdensity import (
     CorrelationFamily,
     NumberSymbol,
@@ -30,7 +34,6 @@ from lowdensity import (
     truncated_smeared,
 )
 from lowdensity.finite_eps import COMMUTATOR, DENSITY, two_point
-from lowdensity.spectral import DensityProfile, EnergyGrid, ShellAmplitude, SpectralModel, make_model
 
 
 def close(got, want, rel=1e-9):
@@ -217,24 +220,55 @@ def test_size_caps_raise():
         pairing_term_smeared(model, symbols[:2], PairDiagram((2, 1)), 0.0)
 
 
-def test_n4_coarsening_matches_manual_block_means():
+def test_n4_runs_at_full_grid():
     model = gaussian_shell_model(bins=128)
     symbols = [NumberSymbol.make("a", "b", 0, TestFunction.gaussian(width=1.0)) for _ in range(4)]
-    d = PairDiagram((4, 1, 2, 3))
-    term = pairing_term_smeared(model, symbols, d, 0.2)
-    assert any("bins reduced 128 -> 64" in w for w in term.warnings)
+    term = pairing_term_smeared(model, symbols, PairDiagram((4, 1, 2, 3)), 0.2)
+    assert not any("bins reduced" in w for w in term.warnings)
 
-    factor = 2
-    coarse_grid = EnergyGrid(e_max=4.0, bins=64)
-    dens = model.density.values.reshape(64, factor).mean(axis=1)
-    vecs = [
-        ShellAmplitude(nm, model.amplitude(nm).reshape(64, factor).mean(axis=1))
-        for nm in ("a", "b")
-    ]
-    coarse = make_model(coarse_grid, DensityProfile(dens), vecs)
-    manual = pairing_term_smeared(coarse, symbols, d, 0.2)
-    close(term.value, manual.value, rel=1e-12)
-    assert not any("bins reduced" in w for w in manual.warnings)
+
+def test_n4_matches_dense_chain_at_full_grid():
+    model = gaussian_shell_model(bins=128)
+    symbols = [NumberSymbol.make("a", "b", 0, TestFunction.gaussian(width=1.0)) for _ in range(4)]
+    for d in enumerate_pair_diagrams(4):
+        got = pairing_term_smeared(model, symbols, d, 0.2).value
+        close(got, pairing_chain_oracle(model, symbols, d, 0.2), rel=1e-12)
+
+
+def _symbol(f, g, s, family, center, width):
+    if family == "gaussian":
+        phi = TestFunction.gaussian(amplitude=1.2, center=center, width=width)
+    else:
+        phi = TestFunction.indicator(center - width, center + width, height=0.9)
+    return NumberSymbol.make(f, g, s, phi)
+
+
+# M below the FFT row block, equal to it, and not a multiple of it
+@pytest.mark.parametrize("bins", [37, 128, 201])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    eps=st.floats(0.05, 0.5),
+    specs=st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b"]),
+            st.sampled_from(["a", "b"]),
+            st.integers(-3, 3),
+            st.sampled_from(["gaussian", "indicator"]),
+            st.floats(-0.5, 0.5),
+            st.floats(0.5, 1.5),
+        ),
+        min_size=4,
+        max_size=4,
+    ),
+)
+@settings(max_examples=5)
+def test_toeplitz_contraction_matches_dense_chain(n, bins, seed, eps, specs):
+    model = random_model(np.random.default_rng(seed), bins=bins)
+    symbols = [_symbol(*spec) for spec in specs[:n]]
+    for d in enumerate_pair_diagrams(n):
+        got = pairing_term_smeared(model, symbols, d, eps).value
+        close(got, pairing_chain_oracle(model, symbols, d, eps), rel=1e-12)
 
 
 def test_resolution_warning_threshold():
