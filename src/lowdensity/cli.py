@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, default_config, load_config, load_symbols, model_from_config, symbols_from_config, test_function_from_config
 from .finite_eps import convergence_sweep, delta_lemma_check
-from .partitions import bell, classify, enumerate_pair_diagrams, surviving_diagram, touchard
+from .partitions import MAX_ENUM_PARTITION, bell, classify, enumerate_pair_diagrams, surviving_diagram, touchard
 from .report import ConvergenceReport, write_sidecar, write_table
 from .spectral import TWO_PI, EnergyGrid, limit_truncated_coefficient, limit_truncated_smeared, free_moment, rank_one_kernel
 from .statistics import independence_probe, poisson_cumulants, poisson_moments
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("poisson", cmd_poisson, "hard-shell cumulants and moments")
     p.add_argument("--lambda", dest="lam", type=_float_list, default=[0.5, 1.0, 2.0])
     p.add_argument("--orders", type=int, default=6)
-    p.add_argument("--moments", type=int, metavar="N", help="also compute moments up to order N")
+    p.add_argument("--moments", type=int, metavar="N", help=f"also compute moments up to order N, 1 <= N <= {MAX_ENUM_PARTITION}")
     p.add_argument("--grid-bins", dest="bins", type=int, default=64)
     p.add_argument("--e-max", type=float, default=8.0)
     p.add_argument("--omega-index", type=int, default=0)

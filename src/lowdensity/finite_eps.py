@@ -243,8 +243,9 @@ def truncated_smeared(model: SpectralModel, symbols, epsilon: float) -> complex:
     """Truncated smeared correlation: the sum of the irreducible
     (single-cycle) diagrams only.  It equals the defining recursion
     W^T(S) = W(S) - sum over partitions of S into >= 2 increasing blocks of
-    the product of W^T(block), i.e. truncated_from_full applied to the
-    correlation_smeared family; the tests cross the two."""
+    the product of W^T(block), i.e. truncated_from_full (which sums it over
+    the block holding min S) applied to the correlation_smeared family; the
+    tests cross the two."""
     symbols = list(symbols)
     return complex(sum(term.value for term in _irreducible_terms(model, symbols, epsilon)))
 

@@ -94,7 +94,7 @@ def enumerate_set_partitions(n: int) -> list[SetPartition]:
     """All partitions of {1..n}; len(result) == bell(n).
 
     >>> [len(p) for p in enumerate_set_partitions(3)]
-    [3, 2, 2, 2, 1]
+    [1, 2, 2, 2, 3]
     """
     if not 1 <= n <= MAX_ENUM_PARTITION:
         raise ValueError(f"enumerate_set_partitions supports 1 <= n <= {MAX_ENUM_PARTITION}")

@@ -1,8 +1,11 @@
 """Moment / cumulant structure of the limiting number statistics.
 
-The truncation recursion over set partitions with increasing blocks is the
+The truncation identity over set partitions with increasing blocks is the
 same transform that connects classical moments and cumulants, so one core
-implementation serves both names.  The Poisson family realizes the flagship
+implementation serves both names.  It sums over the block that holds the
+least element, m(S) = sum_{B subset S, min S in B} kappa(B) m(S - B), on
+subset bitmasks: (3^n - 1) / 2 block terms for a family of arity n, and no
+set partition is ever listed.  The Poisson family realizes the flagship
 example: a hard shell of radius sqrt(lambda) at unit density, smeared with
 the unit-mass box of width 2 pi, has every cumulant equal to lambda, hence
 Touchard-polynomial moments and Bell-number moments at lambda = 1.
@@ -17,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .finite_eps import correlation_smeared
-from .partitions import enumerate_set_partitions
+from .partitions import MAX_ENUM_PARTITION
 from .report import ConvergenceReport, SweepRow
 from .spectral import (
     DensityProfile,
@@ -67,53 +70,57 @@ class CorrelationFamily:
         return self.values[tuple(subset)]
 
 
-def _connected_from_full(arity: int, full: dict) -> dict:
-    """kappa(S) = m(S) - sum over partitions of S with >= 2 blocks of
-    prod kappa(block); resolved by increasing subset size."""
-    conn: dict[tuple[int, ...], complex] = {}
-    for subset in _subsets(arity):
-        total = complex(full[subset])
-        if len(subset) > 1:
-            for part in enumerate_set_partitions(len(subset)):
-                if len(part) < 2:
-                    continue
-                prod = 1.0 + 0j
-                for block in part.blocks:
-                    prod *= conn[tuple(subset[i - 1] for i in block)]
-                total -= prod
-        conn[subset] = total
-    return conn
+def _check_arity(arity: int) -> None:
+    if arity > MAX_ENUM_PARTITION:
+        raise ValueError(f"moment/cumulant transforms support arity <= {MAX_ENUM_PARTITION}, got {arity}")
 
 
-def _full_from_connected(arity: int, conn: dict) -> dict:
-    full: dict[tuple[int, ...], complex] = {}
-    for subset in _subsets(arity):
-        total = 0j
-        for part in enumerate_set_partitions(len(subset)):
-            prod = 1.0 + 0j
-            for block in part.blocks:
-                prod *= conn[tuple(subset[i - 1] for i in block)]
-            total += prod
-        full[subset] = total
-    return full
+def _first_block_transform(arity: int, values: dict, inverse: bool) -> dict:
+    """Full (moment) family from the truncated (cumulant) one, or back when
+    inverse is set, by the identity over the first block:
+
+        m(S) = sum over B subset S with min S in B of kappa(B) m(S - B),
+
+    with m(empty) = 1.  Subsets are bitmasks (element i is bit i - 1) and are
+    visited in increasing order, so every proper subset of S is already
+    known.  The first blocks B = low | sub run over the submasks sub of
+    S ^ low; the inverse solves the same identity for kappa(S)."""
+    _check_arity(arity)
+    keys = {s: sum(1 << (i - 1) for i in s) for s in _subsets(arity)}
+    given = [0j] * (1 << arity)
+    for s, mask in keys.items():
+        given[mask] = complex(values[s])
+    solved = [0j] * (1 << arity)
+    conn, full = (solved, given) if inverse else (given, solved)
+    for mask in range(1, 1 << arity):
+        low = mask & -mask
+        rest = mask ^ low
+        # every first block but B = S, whose term is kappa(S) m(empty)
+        acc = 0j
+        sub = rest
+        while sub:
+            sub = (sub - 1) & rest
+            acc += conn[low | sub] * full[rest ^ sub]
+        solved[mask] = given[mask] - acc if inverse else given[mask] + acc
+    return {s: solved[mask] for s, mask in keys.items()}
 
 
 def truncated_from_full(family: CorrelationFamily) -> CorrelationFamily:
-    return CorrelationFamily(family.arity, _connected_from_full(family.arity, family.values))
+    return CorrelationFamily(family.arity, _first_block_transform(family.arity, family.values, inverse=True))
 
 
 def full_from_truncated(family: CorrelationFamily) -> CorrelationFamily:
-    return CorrelationFamily(family.arity, _full_from_connected(family.arity, family.values))
+    return CorrelationFamily(family.arity, _first_block_transform(family.arity, family.values, inverse=False))
 
 
 def cumulants_from_moments(family: CorrelationFamily) -> CorrelationFamily:
     """Joint cumulants of the family; by the truncation identity these are
     exactly the truncated correlations."""
-    return CorrelationFamily(family.arity, _connected_from_full(family.arity, family.values))
+    return CorrelationFamily(family.arity, _first_block_transform(family.arity, family.values, inverse=True))
 
 
 def moments_from_cumulants(family: CorrelationFamily) -> CorrelationFamily:
-    return CorrelationFamily(family.arity, _full_from_connected(family.arity, family.values))
+    return CorrelationFamily(family.arity, _first_block_transform(family.arity, family.values, inverse=False))
 
 
 def limit_cumulant(model: SpectralModel, kernel: ShellKernel, omega: FrequencyIndex, phi: TestFunction, order: int) -> complex:
@@ -174,6 +181,7 @@ def poisson_moments(lam: float, n_max: int) -> list[float]:
     lambda = 1."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    _check_arity(n_max)  # before the 2^n_max - 1 subsets are built
     family = moments_from_cumulants(CorrelationFamily.from_function(n_max, lambda s: lam))
     return [family.value(tuple(range(1, n + 1))).real for n in range(1, n_max + 1)]
 

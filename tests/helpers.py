@@ -10,6 +10,7 @@ tiny sizes.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -190,6 +191,20 @@ def moments_from_cumulants_oracle(subset, kappa):
         prod = 1.0 + 0j
         for block in part:
             prod *= kappa[tuple(subset[i - 1] for i in block)]
+        total += prod
+    return total
+
+
+def cumulants_from_moments_oracle(subset, m):
+    """Moebius inversion on the partition lattice,
+    kappa(S) = sum over partitions pi of S of (-1)^(|pi|-1) (|pi|-1)!
+    prod_B m(B), partitions from restricted growth strings."""
+    subset = tuple(subset)
+    total = 0j
+    for part in rgs_partitions(len(subset)):
+        prod = complex((-1) ** (len(part) - 1) * math.factorial(len(part) - 1))
+        for block in part:
+            prod *= m[tuple(subset[i - 1] for i in block)]
         total += prod
     return total
 

@@ -136,6 +136,12 @@ def test_poisson_misaligned_lambda_exits_one(capsys):
     assert "lattice" in capsys.readouterr().err
 
 
+def test_poisson_moments_above_cap_exit_one(capsys):
+    code = main(["poisson", "--lambda", "1.0", "--moments", "13", "--grid-bins", "32", "--e-max", "4"])
+    assert code == 1
+    assert "arity <= 12, got 13" in capsys.readouterr().err
+
+
 def test_poisson_nonzero_omega_zeros(capsys):
     assert main(["poisson", "--lambda", "1.0", "--omega-index", "2", "--grid-bins", "32", "--e-max", "4", "--assert"]) == 0
 

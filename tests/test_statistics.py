@@ -3,8 +3,11 @@ independence probe."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
+    cumulants_from_moments_oracle,
     gaussian_shell_model,
     moments_from_cumulants_oracle,
     random_model,
@@ -31,6 +34,7 @@ from lowdensity import (
     truncated_from_full,
     truncated_smeared,
 )
+from lowdensity.partitions import MAX_ENUM_PARTITION
 from lowdensity.spectral import TWO_PI, EnergyGrid
 from lowdensity.statistics import _subsets
 from lowdensity.symbols import product_integral
@@ -58,6 +62,36 @@ def test_moments_from_cumulants_against_partition_oracle(rng):
         fam = moments_from_cumulants(CorrelationFamily(n, kappa))
         for s in _subsets(n):
             assert fam.value(s) == pytest.approx(moments_from_cumulants_oracle(s, kappa), abs=1e-11)
+
+
+@given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_transforms_match_partition_oracles(n, seed):
+    rng = np.random.default_rng(seed)
+    fam = random_family(rng, n)
+    moments = moments_from_cumulants(fam)
+    cumulants = cumulants_from_moments(fam)
+    for s in _subsets(n):
+        want = moments_from_cumulants_oracle(s, fam.values)
+        assert abs(moments.value(s) - want) <= 1e-12 * max(1.0, abs(want))
+        want = cumulants_from_moments_oracle(s, fam.values)
+        assert abs(cumulants.value(s) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_truncated_full_truncated_roundtrip(n, seed):
+    fam = random_family(np.random.default_rng(seed), n)
+    back = truncated_from_full(full_from_truncated(fam))
+    for s in _subsets(n):
+        assert abs(back.value(s) - fam.value(s)) <= 1e-12 * max(1.0, abs(fam.value(s)))
+
+
+def test_transforms_reject_arity_above_cap():
+    fam = CorrelationFamily.from_function(MAX_ENUM_PARTITION + 1, lambda s: 1.0)
+    for transform in (moments_from_cumulants, cumulants_from_moments, truncated_from_full, full_from_truncated):
+        with pytest.raises(ValueError, match=f"arity <= {MAX_ENUM_PARTITION}"):
+            transform(fam)
+    with pytest.raises(ValueError, match=f"arity <= {MAX_ENUM_PARTITION}"):
+        poisson_moments(1.0, MAX_ENUM_PARTITION + 1)
 
 
 def test_family_validation():
@@ -177,6 +211,14 @@ def test_poisson_moments_are_touchard_and_bell():
         assert got == pytest.approx(want, rel=1e-12)
     with pytest.raises(ValueError):
         poisson_moments(1.0, 0)
+
+
+@pytest.mark.parametrize("lam", [0.125, 0.5, 1.0, 1.375, 2.0, 8.0])
+def test_poisson_moments_are_touchard_to_the_cap(lam):
+    got = poisson_moments(lam, MAX_ENUM_PARTITION)
+    for n, m in enumerate(got, start=1):
+        want = touchard(n, lam)
+        assert abs(m - want) <= 1e-12 * want
 
 
 def test_independence_probe_decays_for_separated_groups():
