@@ -1,5 +1,5 @@
-"""Normal-order a word of white-noise generators and evaluate its vacuum
-expectation on a concrete model.
+"""Compute the vacuum expectation of a product of white-noise number
+symbols from the commutation relations and evaluate it on a concrete model.
 
 The symbolic side knows only the commutation relations; the numeric side
 knows only kernels on an energy grid. The bridge is the partition table:

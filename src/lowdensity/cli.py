@@ -20,7 +20,7 @@ from .config import ConfigError, default_config, load_config, load_symbols, mode
 from .finite_eps import convergence_sweep, delta_lemma_check
 from .partitions import MAX_ENUM_PARTITION, bell, classify, enumerate_pair_diagrams, surviving_diagram, touchard
 from .report import ConvergenceReport, write_sidecar, write_table
-from .spectral import TWO_PI, EnergyGrid, limit_truncated_coefficient, limit_truncated_smeared, free_moment, rank_one_kernel
+from .spectral import TWO_PI, EnergyGrid, amplitude_pair, limit_truncated_coefficient, limit_truncated_smeared, free_moment
 from .statistics import independence_probe, poisson_cumulants, poisson_moments
 from .symbols import FrequencyIndex, NumberSymbol, TestFunction
 from .white_noise import evaluate_symbolic, vacuum_expectation
@@ -76,7 +76,7 @@ def _meta(args, command: str, **extra) -> dict:
 def cmd_limit(args) -> int:
     cfg, model = _load(args)
     symbols = symbols_from_config(cfg, model)
-    kernels = [rank_one_kernel(model, s.f, s.g) for s in symbols]
+    kernels = [amplitude_pair(model, s.f, s.g) for s in symbols]
     coeff = limit_truncated_coefficient(model, kernels, [s.omega for s in symbols])
     smeared = limit_truncated_smeared(model, symbols)
     n = len(symbols)
@@ -160,6 +160,8 @@ def cmd_free_check(args) -> int:
 
 
 def cmd_poisson(args) -> int:
+    if args.moments is not None and args.moments < 1:
+        raise ConfigError(f"--moments must be at least 1, got {args.moments}")
     grid = EnergyGrid(e_max=args.e_max, bins=args.bins)
     rows = []
     failures = []
@@ -177,7 +179,7 @@ def cmd_poisson(args) -> int:
         if args.omega_index == 0:
             if max(abs(k - lam) for k in kappas) > 1e-12:
                 failures.append(f"lambda={lam}: cumulants deviate from lambda")
-            if args.moments:
+            if args.moments is not None:
                 moments = poisson_moments(lam, args.moments)
                 targets = [touchard(nn, lam) for nn in range(1, args.moments + 1)]
                 for nn, (m, t) in enumerate(zip(moments, targets), start=1):
@@ -272,7 +274,7 @@ def cmd_wn_expect(args) -> int:
         print(f"partition {part_text:<12} chain order {order}  value = {value:.10g}")
     print(f"connected value = {evaluated.connected:.12g}")
 
-    kernels = [rank_one_kernel(model, f, g) for f, g in labels]
+    kernels = [amplitude_pair(model, f, g) for f, g in labels]
     coeff = limit_truncated_coefficient(model, kernels, [FrequencyIndex(0)] * k)
     expected = TWO_PI ** (k - 1) * coeff.value
     print(f"chain coefficient check: engine={evaluated.connected:.10g}  spectral={expected:.10g}")
@@ -398,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, help="use only the first k symbols")
     p.add_argument("--connected-only", action="store_true", help="drop the scalar part of each symbol")
     p.add_argument("--show-steps", action="store_true",
-                   help="print each expansion branch that reaches the vacuum and its scalar terms")
+                   help="print each expansion branch that contributes a term and its scalar terms")
 
     p = command("diagrams", cmd_diagrams, "pairing diagram census")
     p.add_argument("--n", type=int, default=4)

@@ -168,15 +168,29 @@ class _PairingFactors:
         # zero-copy Toeplitz views: window[i, j] = t[i + j - (M-1)]
         first = sliding_window_view(self.lag[targets[0] - 1], m)[::-1]  # T[a, b] = t[b - a]
         last = sliding_window_view(self.lag[targets[-1] - 1], m)[:, ::-1]  # T^T[a, b] = t[a - b]
+        # work arrays made once per cycle and written in place: fresh
+        # megabyte-sized temporaries per row block would each be mapped and
+        # page-faulted anew by the allocator
+        block = min(_ROW_BLOCK, m)
+        work = np.empty((block, m), dtype=complex)
+        pads = [np.empty((block, self.size), dtype=complex) for _ in range(min(r - 2, 2))]
         total = 0j
         for lo in range(0, m, _ROW_BLOCK):
             rows = slice(lo, lo + _ROW_BLOCK)
-            x = kern[0][rows, None] * first[rows]
+            nb = min(block, m - lo)
+            x = np.multiply(kern[0][rows, None], first[rows], out=work[:nb])
             # (x D T)[a, b] = sum_c x[a, c] k[c] t[b - c]: a linear convolution
-            # along rows, exact on a circulant of >= 2M - 1 points
-            for k, j in zip(kern[1:-1], targets[1:-1]):
-                x = ifft(fft(x * k, self.size, axis=1) * self.lag_fft[j - 1], axis=1)[:, m - 1 : 2 * m - 1]
-            total += np.sum(x * kern[-1] * last[rows])
+            # along rows, exact on a circulant of >= 2M - 1 points; the two
+            # pads alternate so that x never overlaps the product written
+            for i, (k, j) in enumerate(zip(kern[1:-1], targets[1:-1])):
+                pad = pads[i % 2][:nb]
+                np.multiply(x, k, out=pad[:, :m])
+                pad[:, m:] = 0
+                pad = fft(pad, axis=1, overwrite_x=True)
+                pad *= self.lag_fft[j - 1]
+                x = ifft(pad, axis=1, overwrite_x=True)[:, m - 1 : 2 * m - 1]
+            x = np.multiply(x, kern[-1], out=work[:nb])
+            total += np.sum(np.multiply(x, last[rows], out=x))
         return self.delta_e**r * total
 
 

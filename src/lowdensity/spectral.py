@@ -190,9 +190,33 @@ class ShellKernel:
     def diagonal(self) -> np.ndarray:
         return np.diagonal(self.matrix)
 
+    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return self.matrix[rows, cols]
+
 
 def rank_one_kernel(model: SpectralModel, f: str, g: str) -> ShellKernel:
     return ShellKernel.rank_one(model.grid, model.amplitude(f), model.amplitude(g))
+
+
+@dataclass(frozen=True, eq=False)
+class AmplitudePair:
+    """The rank-one kernel |f><g| kept as its two amplitude vectors, for
+    reading a few entries without building the M x M matrix.
+
+    entries(rows, cols) = v_f[rows] * conj(v_g)[cols], the same single
+    product that ShellKernel.rank_one stores, so values are bit-identical.
+    """
+
+    grid: EnergyGrid
+    v_f: np.ndarray
+    v_g_conj: np.ndarray
+
+    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return self.v_f[rows] * self.v_g_conj[cols]
+
+
+def amplitude_pair(model: SpectralModel, f: str, g: str) -> AmplitudePair:
+    return AmplitudePair(model.grid, model.amplitude(f), np.conj(model.amplitude(g)))
 
 
 def star_product(t: ShellKernel, u: ShellKernel) -> ShellKernel:
@@ -232,8 +256,8 @@ def limit_truncated_coefficient(model: SpectralModel, kernels, freqs) -> LimitCo
 
     Parameters
     ----------
-    kernels : sequence of ShellKernel
-        Symbols T_1 .. T_n in time order.
+    kernels : sequence of ShellKernel or AmplitudePair
+        Symbols T_1 .. T_n in time order; only entries(rows, cols) is read.
     freqs : sequence of FrequencyIndex
         Integer lattice frequencies omega_l = s_l * delta_e.
 
@@ -268,7 +292,7 @@ def limit_truncated_coefficient(model: SpectralModel, kernels, freqs) -> LimitCo
     for l in range(n):
         row = a + shifts[l]
         col = a + (shifts[l + 1] if l + 1 < n else 0)
-        acc = acc * kernels[l].matrix[row, col]
+        acc = acc * kernels[l].entries(row, col)
     value = complex(np.sum(acc) * model.grid.delta_e)
     return LimitCoefficient(value, n - 1, omega_gate_passed=True)
 
@@ -281,7 +305,7 @@ def limit_truncated_smeared(model: SpectralModel, symbols) -> complex:
     gate fails.
     """
     symbols = list(symbols)
-    kernels = [rank_one_kernel(model, s.f, s.g) for s in symbols]
+    kernels = [amplitude_pair(model, s.f, s.g) for s in symbols]
     coeff = limit_truncated_coefficient(model, kernels, [s.omega for s in symbols])
     if not coeff.omega_gate_passed:
         return 0j

@@ -22,11 +22,15 @@ companion of the second (NG* swaps labels).  Delta atoms are symmetric, and
 within any product each delta graph stays a forest, so a term's delta
 structure is canonically the induced partition of its variables.
 
-Normal order puts creators left, gauge middle, annihilators right.  A vacuum
-expectation needs only the generator-free terms, so it drops a word as soon
-as the vacuum kills it: B- and NG annihilate Omega, and <Omega| kills B+ and
-NG, so only the empty word and words that start with B- and end with B+ are
-rewritten further.  Each smeared number symbol
+Normal order puts creators left, gauge middle, annihilators right
+(`normal_order`).  A vacuum expectation does not normal-order: it applies
+the symbols to Omega right to left and keeps states sum c B+ ... B+ Omega.
+B- and NG annihilate Omega, so on such a state they act only through their
+commutator with one creator, which the relations above close: [NG, B+]
+relabels the creator, [B-, B+] removes it and leaves a scalar.  Each slot
+joins a block (one time and one energy delta class); a block opens at its
+last slot and closes at its first, and <Omega| keeps the states with no
+creator left.  Each smeared number symbol
 expands as N_{f,g}(t) = integral dE [ NG_{f,g} + B-_{g,f} + B+_{f,g} ](E,t)
 plus, by default, the scalar gamma_{f,g} = integral dE ipn(g,f,E); without
 the scalar the engine reproduces truncated correlations only.
@@ -34,7 +38,6 @@ the scalar the engine reproduces truncated correlations only.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -52,7 +55,7 @@ _ANTI_RANK = {ANNIHILATE: 0, GAUGE: 1, CREATE: 2}
 _KIND_MARK = {CREATE: "B+", GAUGE: "NG", ANNIHILATE: "B-"}
 
 NORMAL_ORDER_STEP_CAP = 5_000_000
-MAX_VACUUM_ORDER = 7
+MAX_VACUUM_ORDER = 8
 
 _VAR_RE = re.compile(r"^([A-Za-z]+)(\d+)$")
 
@@ -326,17 +329,16 @@ def commutator_expr(x: WnExpression, y: WnExpression) -> WnExpression:
     return canonicalize(WnExpression(tuple(terms)))
 
 
-def _rewrite(terms: Iterable[WnTerm], ranks: Mapping[str, int], keep=None) -> list[WnTerm]:
-    """Rewrite xy -> yx + [x,y] at the leftmost disordered pair until no pair
-    is disordered; returns the ordered terms, unmerged.  With keep, a new word
-    is dropped unless keep(factors) holds, before its coefficient is built.
+def normal_order(expr: WnExpression, ranks: Mapping[str, int] = _NORMAL_RANK) -> WnExpression:
+    """Rewrite xy -> yx + [x,y] at the leftmost disordered pair until no
+    adjacent pair is disordered, then merge equal terms.
 
     Every commutator branch strictly shortens the word and every swap lowers
     the inversion count, so this terminates; the step cap only guards
     against implementation bugs.
     """
     done: list[WnTerm] = []
-    stack = list(terms)
+    stack = list(expr.terms)
     steps = 0
     while stack:
         steps += 1
@@ -350,20 +352,10 @@ def _rewrite(terms: Iterable[WnTerm], ranks: Mapping[str, int], keep=None) -> li
             continue
         x, y = fs[spot], fs[spot + 1]
         head, tail = fs[:spot], fs[spot + 2 :]
-        swapped = head + (y, x) + tail
-        if keep is None or keep(swapped):
-            stack.append(WnTerm(term.coeff, swapped))
+        stack.append(WnTerm(term.coeff, head + (y, x) + tail))
         for ct in commutator(x, y).terms:
-            word = head + ct.factors + tail
-            if keep is None or keep(word):
-                stack.append(WnTerm(term.coeff * ct.coeff, word))
-    return done
-
-
-def normal_order(expr: WnExpression, ranks: Mapping[str, int] = _NORMAL_RANK) -> WnExpression:
-    """Rewrite xy -> yx + [x,y] until no adjacent pair is disordered, then
-    merge equal terms."""
-    return canonicalize(WnExpression(tuple(_rewrite(expr.terms, ranks))))
+            stack.append(WnTerm(term.coeff * ct.coeff, head + ct.factors + tail))
+    return canonicalize(WnExpression(tuple(done)))
 
 
 def anti_normal_order(expr: WnExpression) -> WnExpression:
@@ -412,60 +404,37 @@ class VacuumExpectation:
         return tuple(t for t in self.terms if t.time_partition == (full,))
 
 
-def _slot_partition(k: int, t_deltas, prefix: str = "t") -> tuple[tuple[int, ...], ...]:
-    rep = _classes(t_deltas)
-    classes: dict[str, list[int]] = {}
-    for slot in range(1, k + 1):
-        v = f"{prefix}{slot}"
-        classes.setdefault(rep.get(v, v), []).append(slot)
-    return tuple(sorted((tuple(sorted(c)) for c in classes.values()), key=lambda c: c[0]))
+def _atoms(c: Coefficient) -> tuple[tuple[str, str, str], ...]:
+    """The inner-product atoms of a coefficient without their energy
+    variable, as ("ip"|"ipn", a, b)."""
+    return tuple(("ip", a, b) for a, b, _ in c.ips) + tuple(("ipn", a, b) for a, b, _ in c.ipns)
 
 
-def _reaches_vacuum(factors: tuple[WnGenerator, ...]) -> bool:
-    """False when <Omega, word Omega> is zero for every descendant of the word
-    under normal ordering: B- and NG annihilate Omega, <Omega| kills B+ and
-    NG, and rewriting never changes a last B- or NG, nor a first B+ or NG.
-    A non-empty normal-ordered word always fails this test."""
-    return not factors or (factors[0].kind == ANNIHILATE and factors[-1].kind == CREATE)
-
-
-def _vacuum_terms(k: int, merged: WnExpression) -> tuple[VacuumTerm, ...]:
-    """Integrate the energy deltas of merged generator-free terms of a
-    k-symbol product into VacuumTerms, sorted by structure."""
-    out: list[VacuumTerm] = []
-    for term in merged.terms:
-        c = term.coeff
-        e_rep = _classes(c.e_deltas)
-        groups: dict[str, list[tuple[str, str, str]]] = {}
-        for a, b, e in c.ips:
-            groups.setdefault(e_rep.get(e, e), []).append(("ip", a, b))
-        for a, b, e in c.ipns:
-            groups.setdefault(e_rep.get(e, e), []).append(("ipn", a, b))
-        # one free integration per energy class; every class carries atoms
-        n_free = len(set(e_rep.get(f"E{l}", f"E{l}") for l in range(1, k + 1)))
-        if n_free != len(groups):
-            raise ValueError("energy variable without atoms in a vacuum term")
-        out.append(
-            VacuumTerm(
-                numeric=c.numeric,
-                two_pi=c.two_pi,
-                time_partition=_slot_partition(k, c.t_deltas),
-                energy_groups=tuple(sorted(tuple(sorted(g)) for g in groups.values())),
-            )
-        )
-    out.sort(key=lambda t: (t.time_partition, t.energy_groups))
-    return tuple(out)
+@lru_cache(maxsize=1024)  # keyed on labels only: a few vector names per call
+def _on_creator(kind: str, left: str, right: str, a: str, h: str):
+    """[X, B+_{a,h}] for a generator X that annihilates the vacuum, read from
+    `commutator`: (numeric, 2 pi power, atoms, labels of the creator it
+    leaves, or None when it leaves a scalar).  Both relations join X's slot
+    to the creator's time and energy, so the atoms sit on that block."""
+    (term,) = commutator(WnGenerator(kind, left, right, "E0", "t0"), creator(a, h, "E1", "t1")).terms
+    c = term.coeff
+    out = (term.factors[0].left, term.factors[0].right) if term.factors else None
+    return c.numeric, c.two_pi, _atoms(c), out
 
 
 def vacuum_expectation(labels: Sequence[tuple[str, str]], include_scalar: bool = True, trace=None) -> VacuumExpectation:
     """<Omega, N_{f_1,g_1}(t_1) ... N_{f_k,g_k}(t_k) Omega> symbolically.
 
-    Expands each symbol into its generator choices and normal orders only
-    the branches the vacuum does not kill, dropping every rewritten word it
-    kills, so only generator-free terms remain.  With include_scalar the
-    result reproduces full correlation functions; without it, only the parts
-    where every slot is contracted into some chain.  A trace list receives
-    one (branch, its merged scalar terms) entry per surviving branch.
+    One right-to-left pass over the slots acts on states sum c B+ ... B+ Omega.
+    At slot l the scalar choice adds a closed singleton block, B+ opens a
+    block, NG relabels one open creator through [NG, B+] and B- closes one
+    through [B-, B+]; both join l to the creator's block.  A state with more
+    open creators than slots left to its left is dropped, and equal states
+    merge.  A block is one time class and one energy class: its atoms form
+    one energy group.  With include_scalar the result reproduces full
+    correlation functions; without it, only the parts where every slot is
+    contracted into some chain.  A trace list receives one (branch, its
+    merged scalar terms) entry per expansion branch that contributes a term.
     """
     labels = tuple((str(f), str(g)) for f, g in labels)
     k = len(labels)
@@ -473,22 +442,87 @@ def vacuum_expectation(labels: Sequence[tuple[str, str]], include_scalar: bool =
         raise ValueError(f"vacuum_expectation supports 1 <= k <= {MAX_VACUUM_ORDER} symbols")
     choices = [number_symbol_expansion(l, f, g, include_scalar) for l, (f, g) in enumerate(labels, start=1)]
 
-    collected: list[WnTerm] = []
-    for combo in itertools.product(*choices):
-        factors = tuple(g for part in combo for g in part.factors)
-        if not _reaches_vacuum(factors):
-            continue
-        coeff = Coefficient()
-        for part in combo:
-            coeff = coeff * part.coeff
-        branch = WnTerm(coeff, factors)
-        scalars = _rewrite((branch,), _NORMAL_RANK, keep=_reaches_vacuum)
-        if trace is not None:
-            trace.append((branch, canonicalize(WnExpression(tuple(scalars)))))
-        collected.extend(scalars)
+    # key: (2 pi power, closed blocks (slots, atoms) by falling least slot,
+    # open creators (slots, left, right, atoms) by rising opening slot,
+    # branch choice indices when tracing); value: the numeric prefactor
+    states: dict[tuple, complex] = {(0, (), (), ()): 1}
+    steps = 0
+    for l in range(k, 0, -1):
+        room = l - 1  # creators the slots to the left can still close
+        parts = choices[l - 1]
+        scalar_atoms = [_atoms(part.coeff) for part in parts]
+        nxt: dict[tuple, complex] = {}
+        for (two_pi, closed, opened, branch), value in states.items():
+            for c, part in enumerate(parts):
+                # successors as (2 pi power added, closed, opened, numeric factor)
+                if not part.factors:
+                    pc = part.coeff
+                    succ = [(pc.two_pi, closed + (((l,), scalar_atoms[c]),), opened, pc.numeric)]
+                elif part.factors[0].kind == CREATE:
+                    gen = part.factors[0]
+                    succ = [(0, closed, (((l,), gen.left, gen.right, ()),) + opened, 1)]
+                else:
+                    gen = part.factors[0]
+                    succ = []
+                    for i, (slots, a, h, atoms) in enumerate(opened):
+                        numeric, dp, more, out = _on_creator(gen.kind, gen.left, gen.right, a, h)
+                        block, rest = (l,) + slots, opened[:i] + opened[i + 1 :]
+                        if out is None:
+                            succ.append((dp, closed + ((block, atoms + more),), rest, numeric))
+                        else:
+                            succ.append((dp, closed, rest[:i] + ((block, *out, atoms + more),) + rest[i:], numeric))
+                br = (c,) + branch if trace is not None else ()
+                for dp, closed_n, opened_n, numeric in succ:
+                    if len(opened_n) > room:
+                        continue
+                    steps += 1
+                    if steps > NORMAL_ORDER_STEP_CAP:
+                        raise RuntimeError(f"vacuum expectation exceeded {NORMAL_ORDER_STEP_CAP} state updates")
+                    key = (two_pi + dp, closed_n, opened_n, br)
+                    nxt[key] = nxt.get(key, 0) + value * numeric
+        states = nxt
 
-    merged = canonicalize(WnExpression(tuple(collected)))
-    return VacuumExpectation(k=k, labels=labels, include_scalar=include_scalar, terms=_vacuum_terms(k, merged))
+    # with a trace, states also differ by branch; the terms merge over it
+    merged: dict[tuple, complex] = {}
+    for (two_pi, closed, _, _), value in states.items():
+        merged[two_pi, closed] = merged.get((two_pi, closed), 0) + value
+    terms = sorted(
+        (
+            VacuumTerm(
+                numeric=value,
+                two_pi=two_pi,
+                time_partition=tuple(slots for slots, _ in reversed(closed)),
+                energy_groups=tuple(sorted(tuple(sorted(atoms)) for _, atoms in closed)),
+            )
+            for (two_pi, closed), value in merged.items()
+        ),
+        key=lambda t: (t.time_partition, t.energy_groups),
+    )
+    if trace is not None:
+        by_branch: dict[tuple, list[WnTerm]] = {}
+        for (two_pi, closed, _, branch), value in states.items():
+            by_branch.setdefault(branch, []).append(_scalar_term(value, two_pi, closed))
+        for branch in sorted(by_branch):
+            parts = [choices[l][c] for l, c in enumerate(branch)]
+            coeff = Coefficient()
+            for part in parts:
+                coeff = coeff * part.coeff
+            before = WnTerm(coeff, tuple(g for part in parts for g in part.factors))
+            trace.append((before, canonicalize(WnExpression(tuple(by_branch[branch])))))
+    return VacuumExpectation(k=k, labels=labels, include_scalar=include_scalar, terms=tuple(terms))
+
+
+def _scalar_term(numeric: complex, two_pi: int, closed) -> WnTerm:
+    """A finished state as a generator-free WnTerm: each block one time and
+    one energy delta class, its atoms on the block's energy."""
+    t_deltas, e_deltas, ips, ipns = [], [], [], []
+    for slots, atoms in closed:
+        head = slots[0]
+        t_deltas += [(f"t{head}", f"t{s}") for s in slots[1:]]
+        e_deltas += [(f"E{head}", f"E{s}") for s in slots[1:]]
+        for kind, a, b in atoms:
+            (ips if kind == "ip" else ipns).append((a, b, f"E{head}"))
+    return WnTerm(Coefficient(complex(numeric), two_pi, tuple(t_deltas), tuple(e_deltas), tuple(ips), tuple(ipns)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -525,12 +559,16 @@ def _atom_values(atoms, model) -> np.ndarray:
 
 def evaluate_symbolic(vac: VacuumExpectation, model) -> EvaluatedExpectation:
     """Numeric value of each delta-chain structure on a grid model: every
-    free energy integral becomes a bin sum of its atom product."""
+    free energy integral becomes a bin sum of its atom product, computed
+    once per distinct energy group."""
     table: dict[tuple, complex] = {}
+    integrals: dict[tuple, complex] = {}
     two_pi = 2.0 * pi
     for term in vac.terms:
         val = complex(term.numeric) * two_pi**term.two_pi
         for atoms in term.energy_groups:
-            val *= complex(np.sum(_atom_values(atoms, model)) * model.grid.delta_e)
+            if atoms not in integrals:
+                integrals[atoms] = complex(np.sum(_atom_values(atoms, model)) * model.grid.delta_e)
+            val *= integrals[atoms]
         table[term.time_partition] = table.get(term.time_partition, 0j) + val
     return EvaluatedExpectation(k=vac.k, by_partition=table)

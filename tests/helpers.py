@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's factored code paths:
 partitions come from restricted growth strings, pairing values from a raw
 n-fold lattice sum or from dense M x M matrix chains, limit coefficients
-from an explicit shifted-diagonal loop.  They are slow and only meant for
+from an explicit shifted-diagonal loop, vacuum expectations from full
+normal ordering of every expansion branch.  They are slow and only meant for
 tiny sizes.
 """
 
@@ -22,6 +23,7 @@ from lowdensity import (
     ShellAmplitude,
     TestFunction,
     VacuumExpectation,
+    VacuumTerm,
     WnExpression,
     WnTerm,
     canonicalize,
@@ -209,9 +211,47 @@ def cumulants_from_moments_oracle(subset, m):
     return total
 
 
+def _slot_partition(k, t_deltas):
+    rep = white_noise._classes(t_deltas)
+    classes = {}
+    for slot in range(1, k + 1):
+        v = f"t{slot}"
+        classes.setdefault(rep.get(v, v), []).append(slot)
+    return tuple(sorted((tuple(sorted(c)) for c in classes.values()), key=lambda c: c[0]))
+
+
+def _vacuum_terms(k, merged):
+    """Integrate the energy deltas of merged generator-free terms of a
+    k-symbol product into VacuumTerms, sorted by structure."""
+    out = []
+    for term in merged.terms:
+        c = term.coeff
+        e_rep = white_noise._classes(c.e_deltas)
+        groups = {}
+        for a, b, e in c.ips:
+            groups.setdefault(e_rep.get(e, e), []).append(("ip", a, b))
+        for a, b, e in c.ipns:
+            groups.setdefault(e_rep.get(e, e), []).append(("ipn", a, b))
+        # one free integration per energy class; every class carries atoms
+        n_free = len(set(e_rep.get(f"E{l}", f"E{l}") for l in range(1, k + 1)))
+        if n_free != len(groups):
+            raise ValueError("energy variable without atoms in a vacuum term")
+        out.append(
+            VacuumTerm(
+                numeric=c.numeric,
+                two_pi=c.two_pi,
+                time_partition=_slot_partition(k, c.t_deltas),
+                energy_groups=tuple(sorted(tuple(sorted(g)) for g in groups.values())),
+            )
+        )
+    out.sort(key=lambda t: (t.time_partition, t.energy_groups))
+    return tuple(out)
+
+
 def vacuum_expectation_oracle(labels, include_scalar=True):
-    """Vacuum expectation without pruning: normal-order every one of the
-    expansion branches in full, keep the generator-free terms, merge."""
+    """Vacuum expectation by normal ordering: normal-order every one of the
+    expansion branches in full, keep the generator-free terms, merge, and
+    integrate the energy deltas with union-find."""
     labels = tuple((str(f), str(g)) for f, g in labels)
     k = len(labels)
     choices = [number_symbol_expansion(l, f, g, include_scalar) for l, (f, g) in enumerate(labels, start=1)]
@@ -224,4 +264,4 @@ def vacuum_expectation_oracle(labels, include_scalar=True):
         ordered = normal_order(WnExpression((WnTerm(coeff, word),)))
         collected.extend(t for t in ordered.terms if not t.factors)
     merged = canonicalize(WnExpression(tuple(collected)))
-    return VacuumExpectation(k, labels, include_scalar, white_noise._vacuum_terms(k, merged))
+    return VacuumExpectation(k, labels, include_scalar, _vacuum_terms(k, merged))

@@ -142,6 +142,12 @@ def test_poisson_moments_above_cap_exit_one(capsys):
     assert "arity <= 12, got 13" in capsys.readouterr().err
 
 
+def test_poisson_moments_below_one_exit_one(capsys):
+    code = main(["poisson", "--lambda", "1.0", "--moments", "0", "--grid-bins", "32", "--e-max", "4", "--assert"])
+    assert code == 1
+    assert "--moments must be at least 1, got 0" in capsys.readouterr().err
+
+
 def test_poisson_nonzero_omega_zeros(capsys):
     assert main(["poisson", "--lambda", "1.0", "--omega-index", "2", "--grid-bins", "32", "--e-max", "4", "--assert"]) == 0
 
@@ -183,6 +189,13 @@ def test_wn_expect_six_symbols_assert(capsys):
     # k = 6 lies above the old cap; --assert checks the spectral chain
     assert main(["wn-expect", "--pairs", "a:b,b:a,a:a,b:b,a:b,b:a", "--assert"]) == 0
     assert "chain coefficient check" in capsys.readouterr().out
+
+
+def test_wn_expect_eight_symbols_assert_and_nine_refused(capsys):
+    assert main(["wn-expect", "--pairs", "a:b,b:a,a:a,b:b,a:b,b:a,a:a,b:b", "--assert"]) == 0
+    assert "chain coefficient check" in capsys.readouterr().out
+    assert main(["wn-expect", "--pairs", "a:b,b:a,a:a,b:b,a:b,b:a,a:a,b:b,a:b", "--assert"]) == 1
+    assert "1 <= k <= 8" in capsys.readouterr().err
 
 
 def test_wn_expect_connected_only_and_order(capsys):

@@ -13,6 +13,7 @@ from lowdensity import (
     ShellAmplitude,
     ShellKernel,
     TestFunction,
+    amplitude_pair,
     free_moment,
     limit_truncated_coefficient,
     limit_truncated_smeared,
@@ -71,6 +72,22 @@ def test_rank_one_kernel_entries():
     va, vb = model.amplitude("a"), model.amplitude("b")
     assert kern.matrix[2, 4] == pytest.approx(va[2] * np.conj(vb[4]))
     assert np.allclose(kern.diagonal(), va * np.conj(vb))
+
+
+def test_amplitude_pair_entries_are_rank_one_kernel_entries():
+    # the chain coefficient reads these instead of the M x M matrix; values
+    # must be bit-identical, not merely close
+    rng = np.random.default_rng(17)
+    model = random_model(rng, bins=37, names=("a", "b"))
+    rows, cols = rng.integers(0, 37, size=(2, 200))
+    for f, g in (("a", "b"), ("b", "a"), ("a", "a")):
+        got = amplitude_pair(model, f, g).entries(rows, cols)
+        want = rank_one_kernel(model, f, g).entries(rows, cols)
+        assert np.array_equal(got, want)
+    kerns = [rank_one_kernel(model, "a", "b"), rank_one_kernel(model, "b", "a"), rank_one_kernel(model, "a", "a")]
+    pairs = [amplitude_pair(model, "a", "b"), amplitude_pair(model, "b", "a"), amplitude_pair(model, "a", "a")]
+    freqs = [FrequencyIndex(2), FrequencyIndex(-3), FrequencyIndex(1)]
+    assert limit_truncated_coefficient(model, pairs, freqs) == limit_truncated_coefficient(model, kerns, freqs)
 
 
 def test_star_product_hand_value_and_associativity():

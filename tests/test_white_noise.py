@@ -252,7 +252,7 @@ def test_vacuum_term_census_is_bell(rng):
 
 def test_connected_only_census_is_singleton_free():
     # without the scalar part every slot sits in a chain of length >= 2
-    counts = {2: 1, 3: 1, 4: 4, 5: 11, 6: 41, 7: 162}
+    counts = {2: 1, 3: 1, 4: 4, 5: 11, 6: 41, 7: 162, 8: 715}
     for k, count in counts.items():
         labels = [("a", "b") if i % 2 == 0 else ("b", "a") for i in range(k)]
         vac = vacuum_expectation(labels, include_scalar=False)
@@ -304,6 +304,7 @@ def test_trace_records_every_branch():
 
 
 K5_LABELS = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "a"), ("b", "c")]
+K6_LABELS = K5_LABELS + [("c", "b")]
 
 
 @given(
@@ -312,6 +313,8 @@ K5_LABELS = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "a"), ("b", "c")]
 )
 @example(labels=K5_LABELS, include_scalar=True)
 @example(labels=K5_LABELS, include_scalar=False)
+@example(labels=K6_LABELS, include_scalar=True)
+@example(labels=K6_LABELS, include_scalar=False)
 def test_pruned_vacuum_expectation_matches_full_ordering(labels, include_scalar):
     got = vacuum_expectation(labels, include_scalar=include_scalar)
     assert got.terms == vacuum_expectation_oracle(labels, include_scalar=include_scalar).terms
