@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -356,7 +357,9 @@ def cmd_delta_lemma(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; each parse_args returns a fresh namespace."""
     parser = _Parser(prog="lowdensity", description="Low density limit toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 

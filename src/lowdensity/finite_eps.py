@@ -20,25 +20,28 @@ b - a, so each target slot needs one lag vector of 2M - 1 Fourier points,
 and the M x M factors are zero-copy Toeplitz views of it.  A 2-cycle is one
 O(M^2) Hadamard sum; an r-cycle takes r - 2 Toeplitz products by FFT on a
 circulant embedding (Golub & Van Loan, Matrix Computations, 4.7), then a
-Hadamard sum with its last link.  Lag vectors, their FFTs, kernel vectors
-and resolution warnings are built once per (model, symbols, eps) and
-shared by every diagram.  Reducible diagrams therefore equal the product of
-their irreducible components by construction, and the tests pin the
-contraction against an independent nested-sum oracle and the dense matrix
-chain.
+Hadamard sum with its last link.
+
+Every smeared sum takes one path.  Lag vectors, their FFTs, kernel vectors
+and resolution warnings are built once per (model, symbols, eps), and a
+slot subset reads them under its own slot numbers.  The truncated value of
+a slot set is the sum of its single-cycle diagrams; a diagram is the
+product of its cycles, so the first-block transform of the truncated values
+of all subsets gives the full ones.  The tests pin the contraction against
+an independent nested-sum oracle and the dense matrix chain, and the full
+value against the sum over all n! diagrams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import fft, ifft, next_fast_len
 from scipy.integrate import quad
 
-from .partitions import PairDiagram, classify, enumerate_pair_diagrams
+from .partitions import PairDiagram, _first_block_transform, _subsets, enumerate_pair_diagrams, irreducible_diagrams
 from .report import ConvergenceReport, SweepRow
 from .spectral import SpectralModel, limit_truncated_smeared
 from .symbols import GAUSSIAN, INDICATOR, TestFunction
@@ -137,11 +140,17 @@ class _PairingFactors:
         t_m[d] = ft_m((d delta_e - omega_m)/eps),   d = -(M-1) .. M-1,
 
     stored at index d + M - 1, its FFT on next_fast_len(2M - 1) points, and
-    the kernel vectors kern(l, j) of every slot pair.
+    the kernel vectors kern(l, j) of every slot pair.  An increasing slot
+    subset reads the same vectors as if built from its own symbols.
     """
 
     def __init__(self, model: SpectralModel, symbols: tuple, epsilon: float):
+        if not 1 <= len(symbols) <= MAX_SMEARED_N:
+            raise ValueError(f"pairing_term_smeared supports 1 <= n <= {MAX_SMEARED_N}")
+        if epsilon <= 0:
+            raise ValueError("epsilon must be positive")
         grid = model.grid
+        self.epsilon = epsilon
         m = grid.bins
         self.m = m
         self.delta_e = grid.delta_e
@@ -193,13 +202,23 @@ class _PairingFactors:
             total += np.sum(np.multiply(x, last[rows], out=x))
         return self.delta_e**r * total
 
+    def single_cycles(self, subset: tuple[int, ...]):
+        """(diagram, eps^(k-r) times its cycle value) for every single-cycle
+        diagram on the increasing slot subset, r = len(subset), in
+        irreducible_diagrams(r) order; the diagram is numbered 1..r and read
+        on the subset's slots."""
+        r = len(subset)
+        for d in irreducible_diagrams(r):
+            cycle = tuple(subset[l - 1] for l in d.cycles()[0])
+            yield d, complex(complex(self.epsilon ** (d.k - r)) * self.cycle_value(cycle))
 
-@lru_cache(maxsize=1)
-def _pairing_factors(model: SpectralModel, symbols: tuple, epsilon: float) -> _PairingFactors:
-    """Shared factors of the latest (model, symbols, epsilon), so that the
-    diagrams of one correlation_smeared or truncated call build them once.
-    The model is keyed by identity; models are not mutated after make_model."""
-    return _PairingFactors(model, symbols, epsilon)
+    def truncated(self, subset: tuple[int, ...]) -> complex:
+        return complex(sum(value for _, value in self.single_cycles(subset)))
+
+    def full_family(self) -> dict[tuple[int, ...], complex]:
+        """Full correlation of every nonempty increasing slot subset."""
+        n = len(self.lag)
+        return _first_block_transform(n, {s: self.truncated(s) for s in _subsets(n)}, inverse=False)
 
 
 def pairing_term_smeared(model: SpectralModel, symbols, diagram: PairDiagram, epsilon: float) -> PairingTerm:
@@ -211,20 +230,14 @@ def pairing_term_smeared(model: SpectralModel, symbols, diagram: PairDiagram, ep
     T_i[a, b] = ft((E_b - E_a - omega)/eps), zero-copy views of one lag
     vector per target slot: a 2-cycle is one Hadamard sum, a longer one
     r - 2 Toeplitz products by FFT followed by a Hadamard sum with the last
-    link, over row blocks.  Lag vectors, their FFTs, kernel vectors and
-    resolution warnings are shared with the previous call when the model
-    (by identity), the symbols and epsilon are the same.
+    link, over row blocks.  Each call builds its own pairing factors; the
+    smeared sums below never call it.
     """
     symbols = tuple(symbols)
     n = len(symbols)
-    if not 1 <= n <= MAX_SMEARED_N:
-        raise ValueError(f"pairing_term_smeared supports 1 <= n <= {MAX_SMEARED_N}")
+    factors = _PairingFactors(model, symbols, float(epsilon))
     if diagram.n != n:
         raise ValueError("diagram size does not match symbols")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-
-    factors = _pairing_factors(model, symbols, float(epsilon))
     value = complex(epsilon ** (diagram.k - n))
     for cycle in diagram.cycles():
         value *= factors.cycle_value(cycle)
@@ -240,46 +253,38 @@ def pairing_term_smeared(model: SpectralModel, symbols, diagram: PairDiagram, ep
 
 
 def correlation_smeared(model: SpectralModel, symbols, epsilon: float) -> complex:
-    """Full smeared correlation: sum over all pairing diagrams."""
-    symbols = list(symbols)
-    return complex(sum(pairing_term_smeared(model, symbols, d, epsilon).value for d in enumerate_pair_diagrams(len(symbols))))
-
-
-def _irreducible_terms(model: SpectralModel, symbols: list, epsilon: float):
-    """Pairing terms of the irreducible (single-cycle) diagrams, the only
-    ones that contribute to the truncated correlation."""
-    for d in enumerate_pair_diagrams(len(symbols)):
-        if classify(d).irreducible:
-            yield pairing_term_smeared(model, symbols, d, epsilon)
+    """Full smeared correlation, the sum over all n! pairing diagrams: the
+    truncated value of every slot subset turned into the full value of the
+    whole slot set by the first-block transform."""
+    symbols = tuple(symbols)
+    return complex(_PairingFactors(model, symbols, float(epsilon)).full_family()[tuple(range(1, len(symbols) + 1))])
 
 
 def truncated_smeared(model: SpectralModel, symbols, epsilon: float) -> complex:
     """Truncated smeared correlation: the sum of the irreducible
-    (single-cycle) diagrams only.  It equals the defining recursion
+    (single-cycle) diagrams only.  It satisfies the defining recursion
     W^T(S) = W(S) - sum over partitions of S into >= 2 increasing blocks of
-    the product of W^T(block), i.e. truncated_from_full (which sums it over
-    the block holding min S) applied to the correlation_smeared family; the
-    tests cross the two."""
-    symbols = list(symbols)
-    return complex(sum(term.value for term in _irreducible_terms(model, symbols, epsilon)))
+    the product of W^T(block), which correlation_smeared runs the other way;
+    the tests pin both against the sum over all diagrams."""
+    symbols = tuple(symbols)
+    return _PairingFactors(model, symbols, float(epsilon)).truncated(tuple(range(1, len(symbols) + 1)))
 
 
 def convergence_sweep(model: SpectralModel, symbols, epsilons) -> ConvergenceReport:
     """Finite-epsilon truncated values against the limiting value, one row
     per epsilon, with a per-cycle-diagram breakdown."""
-    symbols = list(symbols)
+    symbols = tuple(symbols)
     n = len(symbols)
     limit = limit_truncated_smeared(model, symbols)
     rows = []
     for eps in epsilons:
+        factors = _PairingFactors(model, symbols, float(eps))
         breakdown: dict[str, complex] = {}
-        warnings: tuple[str, ...] = ()
         total = 0j
-        for term in _irreducible_terms(model, symbols, eps):
-            breakdown[term.diagram.label()] = term.value
-            warnings = term.warnings
-            total += term.value
-        rows.append(SweepRow(epsilon=float(eps), value=complex(total), limit=limit, warnings=warnings, breakdown=breakdown))
+        for d, value in factors.single_cycles(tuple(range(1, n + 1))):
+            breakdown[d.label()] = value
+            total += value
+        rows.append(SweepRow(epsilon=float(eps), value=complex(total), limit=limit, warnings=factors.warnings, breakdown=breakdown))
     meta = {
         "n": n,
         "bins": model.grid.bins,

@@ -1,9 +1,11 @@
-"""Set partitions and creator/annihilator pairing diagrams.
+"""Set partitions, pairing diagrams and the first-block transform.
 
 A pairing diagram on n number symbols assigns to each creator slot l the
 annihilator slot sigma(l) it is contracted with; sigma runs over all of S_n.
 The diagram is irreducible exactly when sigma is a single n-cycle, and the
 one diagram that survives the scaling limit is sigma = (1 -> n, l -> l-1).
+_first_block_transform turns the truncated (single-cycle) values of every
+subset into the full ones, a sum over set partitions, and back.
 """
 
 from __future__ import annotations
@@ -88,6 +90,47 @@ class SetPartition:
 
     def __len__(self) -> int:
         return len(self.blocks)
+
+
+def _subsets(n: int):
+    for size in range(1, n + 1):
+        yield from itertools.combinations(range(1, n + 1), size)
+
+
+def _check_arity(arity: int) -> None:
+    if arity > MAX_ENUM_PARTITION:
+        raise ValueError(f"moment/cumulant transforms support arity <= {MAX_ENUM_PARTITION}, got {arity}")
+
+
+def _first_block_transform(arity: int, values: dict, inverse: bool) -> dict:
+    """Full (moment) family from the truncated (cumulant) one, or back when
+    inverse is set, by the identity over the first block:
+
+        m(S) = sum over B subset S with min S in B of kappa(B) m(S - B),
+
+    with m(empty) = 1: (3^n - 1) / 2 block terms for arity n.  Subsets are
+    bitmasks (element i is bit i - 1) and are visited in increasing order,
+    so every proper subset of S is already known.  The first blocks
+    B = low | sub run over the submasks sub of S ^ low; the inverse solves
+    the same identity for kappa(S)."""
+    _check_arity(arity)
+    keys = {s: sum(1 << (i - 1) for i in s) for s in _subsets(arity)}
+    given = [0j] * (1 << arity)
+    for s, mask in keys.items():
+        given[mask] = complex(values[s])
+    solved = [0j] * (1 << arity)
+    conn, full = (solved, given) if inverse else (given, solved)
+    for mask in range(1, 1 << arity):
+        low = mask & -mask
+        rest = mask ^ low
+        # every first block but B = S, whose term is kappa(S) m(empty)
+        acc = 0j
+        sub = rest
+        while sub:
+            sub = (sub - 1) & rest
+            acc += conn[low | sub] * full[rest ^ sub]
+        solved[mask] = given[mask] - acc if inverse else given[mask] + acc
+    return {s: solved[mask] for s, mask in keys.items()}
 
 
 def enumerate_set_partitions(n: int) -> list[SetPartition]:

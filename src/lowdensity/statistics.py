@@ -2,9 +2,7 @@
 
 The truncation identity over set partitions with increasing blocks is the
 same transform that connects classical moments and cumulants, so one core
-implementation serves both names.  It sums over the block that holds the
-least element, m(S) = sum_{B subset S, min S in B} kappa(B) m(S - B), on
-subset bitmasks: (3^n - 1) / 2 block terms for a family of arity n, and no
+implementation, partitions._first_block_transform, serves both names; no
 set partition is ever listed.  The Poisson family realizes the flagship
 example: a hard shell of radius sqrt(lambda) at unit density, smeared with
 the unit-mass box of width 2 pi, has every cumulant equal to lambda, hence
@@ -14,13 +12,14 @@ Touchard-polynomial moments and Bell-number moments at lambda = 1.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .finite_eps import correlation_smeared
-from .partitions import MAX_ENUM_PARTITION
+from .finite_eps import _PairingFactors
+from .partitions import _check_arity, _first_block_transform, _subsets
 from .report import ConvergenceReport, SweepRow
 from .spectral import (
     DensityProfile,
@@ -37,11 +36,6 @@ from .symbols import FrequencyIndex, TestFunction, product_integral
 
 class GridAlignmentError(ValueError):
     """A model parameter must sit on the bin lattice and does not."""
-
-
-def _subsets(n: int):
-    for size in range(1, n + 1):
-        yield from itertools.combinations(range(1, n + 1), size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,41 +62,6 @@ class CorrelationFamily:
 
     def value(self, subset) -> complex:
         return self.values[tuple(subset)]
-
-
-def _check_arity(arity: int) -> None:
-    if arity > MAX_ENUM_PARTITION:
-        raise ValueError(f"moment/cumulant transforms support arity <= {MAX_ENUM_PARTITION}, got {arity}")
-
-
-def _first_block_transform(arity: int, values: dict, inverse: bool) -> dict:
-    """Full (moment) family from the truncated (cumulant) one, or back when
-    inverse is set, by the identity over the first block:
-
-        m(S) = sum over B subset S with min S in B of kappa(B) m(S - B),
-
-    with m(empty) = 1.  Subsets are bitmasks (element i is bit i - 1) and are
-    visited in increasing order, so every proper subset of S is already
-    known.  The first blocks B = low | sub run over the submasks sub of
-    S ^ low; the inverse solves the same identity for kappa(S)."""
-    _check_arity(arity)
-    keys = {s: sum(1 << (i - 1) for i in s) for s in _subsets(arity)}
-    given = [0j] * (1 << arity)
-    for s, mask in keys.items():
-        given[mask] = complex(values[s])
-    solved = [0j] * (1 << arity)
-    conn, full = (solved, given) if inverse else (given, solved)
-    for mask in range(1, 1 << arity):
-        low = mask & -mask
-        rest = mask ^ low
-        # every first block but B = S, whose term is kappa(S) m(empty)
-        acc = 0j
-        sub = rest
-        while sub:
-            sub = (sub - 1) & rest
-            acc += conn[low | sub] * full[rest ^ sub]
-        solved[mask] = given[mask] - acc if inverse else given[mask] + acc
-    return {s: solved[mask] for s, mask in keys.items()}
 
 
 def truncated_from_full(family: CorrelationFamily) -> CorrelationFamily:
@@ -201,20 +160,20 @@ def _group_locus(symbols) -> tuple[float, float]:
 
 
 def independence_probe(model: SpectralModel, groups, epsilons, min_separation_widths: float = 10.0) -> ConvergenceReport:
-    """Finite-epsilon expectation of the product of centered elements, one
-    from each group, against the asymptotic value 0.
+    """Finite-epsilon expectation of the product of the centered symbols,
+    each symbol minus its own expectation, against the asymptotic value 0.
 
-    Centering subtracts each element's own expectation, so the probe value
-    expands over index subsets:
-    sum_S (-1)^(n-|S|) prod_{i not in S} m_i * W_eps(S).
-    Groups whose time supports are closer than min_separation_widths times
-    the mean of their widths get a configuration warning (the decay claim
-    needs separated supports).
+    Centering expands the probe over index subsets:
+    sum_S (-1)^(n-|S|) prod_{i not in S} W_eps(i) * W_eps(S), with every
+    W_eps(S) from one set of pairing factors per epsilon.  Groups whose
+    time supports are closer than min_separation_widths times the mean of
+    their widths get a warning (the decay claim needs separated supports),
+    followed by the epsilon's grid-resolution warnings.
     """
     groups = [list(g) for g in groups]
     if len(groups) < 2:
         raise ValueError("independence_probe needs at least two groups")
-    symbols = [s for g in groups for s in g]
+    symbols = tuple(s for g in groups for s in g)
     n = len(symbols)
 
     warnings: list[str] = []
@@ -226,17 +185,14 @@ def independence_probe(model: SpectralModel, groups, epsilons, min_separation_wi
 
     rows = []
     for eps in epsilons:
-        singles = [correlation_smeared(model, [s], eps) for s in symbols]
+        factors = _PairingFactors(model, symbols, float(eps))
+        full = factors.full_family()
         total = 0j
         for size in range(0, n + 1):
             for subset in itertools.combinations(range(1, n + 1), size):
-                outside = 1.0 + 0j
-                for i in range(1, n + 1):
-                    if i not in subset:
-                        outside *= singles[i - 1]
-                w = correlation_smeared(model, [symbols[i - 1] for i in subset], eps) if subset else 1.0
-                total += (-1.0) ** (n - size) * outside * w
-        rows.append(SweepRow(epsilon=float(eps), value=complex(total), limit=0j, warnings=tuple(warnings)))
+                outside = math.prod((full[(i,)] for i in range(1, n + 1) if i not in subset), start=1.0 + 0j)
+                total += (-1.0) ** (n - size) * outside * (full[subset] if subset else 1.0)
+        rows.append(SweepRow(epsilon=float(eps), value=complex(total), limit=0j, warnings=tuple(warnings) + factors.warnings))
     meta = {
         "n": n,
         "groups": [len(g) for g in groups],

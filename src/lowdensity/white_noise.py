@@ -534,16 +534,6 @@ class EvaluatedExpectation:
     def connected(self) -> complex:
         return self.by_partition.get((tuple(range(1, self.k + 1)),), 0j)
 
-    def chain(self, order: int) -> complex:
-        return sum(
-            (v for p, v in self.by_partition.items() if sum(len(c) - 1 for c in p) == order),
-            start=0j,
-        )
-
-    @property
-    def total_coefficient_table(self) -> dict:
-        return dict(sorted(self.by_partition.items()))
-
 
 def _atom_values(atoms, model) -> np.ndarray:
     vals = np.ones(model.grid.bins, dtype=complex)

@@ -27,6 +27,7 @@ from lowdensity import (
     WnExpression,
     WnTerm,
     canonicalize,
+    correlation_smeared,
     make_model,
     normal_order,
     number_symbol_expansion,
@@ -160,6 +161,24 @@ def pairing_chain_oracle(model, symbols, diagram, epsilon):
             chain = b if chain is None else chain @ b
         value *= grid.delta_e**r * np.trace(chain)
     return complex(value)
+
+
+def independence_probe_oracle(model, symbols, epsilon):
+    """Centered-product probe sum_S (-1)^(n-|S|) prod_{i not in S} W(i) W(S)
+    from one correlation_smeared call per index subset, each building its
+    pairing factors from that subset's own symbols."""
+    n = len(symbols)
+    singles = [correlation_smeared(model, [s], epsilon) for s in symbols]
+    total = 0j
+    for size in range(n + 1):
+        for subset in itertools.combinations(range(1, n + 1), size):
+            outside = 1.0 + 0j
+            for i in range(1, n + 1):
+                if i not in subset:
+                    outside *= singles[i - 1]
+            w = correlation_smeared(model, [symbols[i - 1] for i in subset], epsilon) if subset else 1.0
+            total += (-1.0) ** (n - size) * outside * w
+    return complex(total)
 
 
 def coefficient_oracle(model, kernels, s_indices):

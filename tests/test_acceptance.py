@@ -41,7 +41,7 @@ from lowdensity import (
     vacuum_expectation,
 )
 from lowdensity.spectral import DensityProfile, EnergyGrid, ShellAmplitude, TWO_PI
-from lowdensity.statistics import _subsets
+from lowdensity.partitions import _subsets
 from lowdensity.symbols import product_integral
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from lowdensity.cli import main
+from lowdensity.cli import build_parser, main
 from lowdensity.report import CSV_COLUMNS
 
 CONFIG = {
@@ -171,6 +171,25 @@ def test_independence_json_has_no_nan(tmp_path):
 
     doc = json.loads(out.read_text(), parse_constant=reject)
     assert doc["rows"] and all(row["rel_err"] is None for row in doc["rows"])
+
+
+def test_main_reuses_one_parser_without_leaking_state(tmp_path, capsys):
+    # one process, one parser: a run after one with other options must write
+    # the same table as a freshly built parser would
+    runs = [
+        ["sweep", "--epsilons", "0.2"],
+        ["sweep"],
+        ["independence", "--groups", "1;2", "--separation", "0.1"],
+    ]
+    assert build_parser() is build_parser()
+    for i, argv in enumerate(runs):
+        assert main(argv + ["--out", str(tmp_path / f"shared{i}.csv")]) == 0
+    for i, argv in enumerate(runs):
+        build_parser.cache_clear()
+        assert main(argv + ["--out", str(tmp_path / f"fresh{i}.csv")]) == 0
+        assert (tmp_path / f"shared{i}.csv").read_bytes() == (tmp_path / f"fresh{i}.csv").read_bytes()
+    shared = [(tmp_path / f"shared{i}.csv").read_text().splitlines() for i in range(2)]
+    assert len(shared[0]) == 2 and len(shared[1]) == 4  # header plus one row per epsilon
 
 
 def test_independence_bad_groups(config_path, capsys):

@@ -3,7 +3,9 @@
 The load-bearing tests here pin pairing_term_smeared against a raw n-fold
 lattice sum (helpers.pairing_oracle) that never factorizes over cycles, and
 its Toeplitz/FFT contraction against dense M x M matrix chains
-(helpers.pairing_chain_oracle).
+(helpers.pairing_chain_oracle).  correlation_smeared, which is built from
+the single-cycle sums of every slot subset, is pinned against the sum of
+those oracles over all n! diagrams.
 Everything else checks the structural identities the expansion must obey:
 factorization over components, the truncation recursion, hermiticity, and
 the epsilon-order bookkeeping.
@@ -157,6 +159,17 @@ def test_full_correlation_is_partition_sum_of_truncated(rng):
                 prod *= truncated_smeared(model, [symbols[i - 1] for i in block], eps)
             total += prod
         close(full, total)
+
+
+def test_full_correlation_is_sum_over_all_diagrams(rng):
+    # independent of the truncated family: each diagram from the nested-sum
+    # oracle at tiny M, or from dense matrix chains at n = 4
+    for n, bins, oracle in ((1, 6, pairing_oracle), (2, 6, pairing_oracle), (3, 5, pairing_oracle), (4, 37, pairing_chain_oracle)):
+        model = random_model(rng, bins=bins)
+        symbols = random_symbols(rng, n, s_choices=(-1, 0, 1))
+        eps = float(rng.uniform(0.15, 0.4))
+        want = sum(oracle(model, symbols, d, eps) for d in enumerate_pair_diagrams(n))
+        close(correlation_smeared(model, symbols, eps), want, rel=1e-12)
 
 
 def test_order_one_truncated_equals_full_and_limit():

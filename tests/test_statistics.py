@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     cumulants_from_moments_oracle,
     gaussian_shell_model,
+    independence_probe_oracle,
     moments_from_cumulants_oracle,
     random_model,
     random_symbols,
@@ -36,7 +37,7 @@ from lowdensity import (
 )
 from lowdensity.partitions import MAX_ENUM_PARTITION
 from lowdensity.spectral import TWO_PI, EnergyGrid
-from lowdensity.statistics import _subsets
+from lowdensity.partitions import _subsets
 from lowdensity.symbols import product_integral
 
 
@@ -236,6 +237,38 @@ def test_independence_probe_decays_for_separated_groups():
     control = independence_probe(model, [g1, co], (0.2, 0.1))
     assert control.rows[0].warnings  # overlapping supports get flagged
     assert abs(report.rows[1].value) < abs(control.rows[1].value)
+
+
+@pytest.mark.parametrize("sizes", [(1, 1), (1, 1, 1), (2, 1)])
+def test_independence_probe_matches_per_subset_oracle(rng, sizes):
+    # the probe slices one set of pairing factors to every subset; the
+    # oracle builds each subset's factors from its own symbols
+    names = ("a", "b", "c")
+    model = random_model(rng, bins=12, names=names)
+    symbols = random_symbols(rng, sum(sizes), names=names, s_choices=(-1, 0, 1))
+    groups, start = [], 0
+    for size in sizes:
+        groups.append(symbols[start : start + size])
+        start += size
+    epsilons = (0.3, 0.15)
+    report = independence_probe(model, groups, epsilons)
+    for row, eps in zip(report.rows, epsilons):
+        assert abs(row.value - independence_probe_oracle(model, symbols, eps)) <= 1e-14
+
+
+def test_independence_rows_carry_resolution_warnings():
+    phi_near = TestFunction.gaussian(width=0.5)
+    phi_far = TestFunction.gaussian(center=10.0, width=0.5)
+    groups = [[NumberSymbol.make("a", "a", 0, phi_near)], [NumberSymbol.make("b", "b", 0, phi_far)]]
+    resolved = independence_probe(gaussian_shell_model(bins=64), groups, (0.5,))  # delta_e 0.0625 <= eps/(8 sigma_t) = 0.125
+    assert resolved.rows[0].warnings == ()
+    coarse = independence_probe(gaussian_shell_model(bins=16), groups, (0.5, 0.2))
+    for row in coarse.rows:
+        assert len(row.warnings) == 1 and row.warnings[0].startswith("grid resolution: delta_e=0.25 exceeds")
+    # separation warnings come first, the epsilon's resolution warning after
+    near = [groups[0], [NumberSymbol.make("b", "b", 0, phi_near)]]
+    both = independence_probe(gaussian_shell_model(bins=16), near, (0.5,))
+    assert [w.split(" ")[0] for w in both.rows[0].warnings] == ["groups", "grid"]
 
 
 def test_independence_probe_needs_two_groups():
