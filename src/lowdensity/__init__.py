@@ -16,7 +16,6 @@ from .partitions import (
     enumerate_pair_diagrams,
     enumerate_set_partitions,
     irreducible_diagrams,
-    is_irreducible_by_closure,
     stirling2,
     surviving_diagram,
     touchard,
@@ -73,10 +72,8 @@ from .white_noise import (
     WnGenerator,
     WnTerm,
     annihilator,
-    anti_normal_order,
     canonicalize,
     commutator,
-    commutator_expr,
     creator,
     evaluate_symbolic,
     gauge,

@@ -20,7 +20,9 @@ b - a, so each target slot needs one lag vector of 2M - 1 Fourier points,
 and the M x M factors are zero-copy Toeplitz views of it.  A 2-cycle is one
 O(M^2) Hadamard sum; an r-cycle takes r - 2 Toeplitz products by FFT on a
 circulant embedding (Golub & Van Loan, Matrix Computations, 4.7), then a
-Hadamard sum with its last link.
+Hadamard sum with its last link.  The FFTs are numpy's pocketfft on the
+smallest 11-smooth length >= 2M - 1; scipy is imported only by the
+adaptive quadrature of delta_lemma_check.
 
 Every smeared sum takes one path.  Lag vectors, their FFTs, kernel vectors
 and resolution warnings are built once per (model, symbols, eps), and a
@@ -35,11 +37,10 @@ value against the sum over all n! diagrams.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import pi
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import fft, ifft, next_fast_len
-from scipy.integrate import quad
 
 from .partitions import PairDiagram, _first_block_transform, _subsets, enumerate_pair_diagrams, irreducible_diagrams
 from .report import ConvergenceReport, SweepRow
@@ -52,7 +53,22 @@ COMMUTATOR = "commutator"
 MAX_FIXED_TIME_N = 5
 MAX_SMEARED_N = 4
 RESOLUTION_BINS = 8.0  # bins required across a Fourier factor's width eps/sigma
-_ROW_BLOCK = 128  # rows per FFT block: work arrays stay _ROW_BLOCK x next_fast_len(2M - 1)
+NYQUIST_MARGIN = pi / 2  # largest phase turn delta_e*|c|/eps of a Fourier factor per bin
+_ROW_BLOCK = 128  # rows per FFT block: work arrays stay _ROW_BLOCK x _fft_len(2M - 1)
+
+
+def _fft_len(target: int) -> int:
+    """Smallest 11-smooth length >= target, the lengths pocketfft factors
+    fastest; equal to scipy.fft.next_fast_len(target) for complex input."""
+    n = max(target, 1)
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
 
 
 def two_point(model: SpectralModel, f: str, g: str, kind: str, tau: float, epsilon: float) -> complex:
@@ -120,16 +136,28 @@ class PairingTerm:
 
 
 def resolution_warnings(model: SpectralModel, symbols, epsilon: float) -> tuple[str, ...]:
-    """Grid-resolution rule: each Fourier factor has width eps/sigma_t in
-    energy and must be sampled by >= RESOLUTION_BINS bins."""
+    """Grid rules for the Fourier factors, one warning per broken rule.
+
+    Width: each factor has width eps/sigma_t in energy and must be sampled
+    by >= RESOLUTION_BINS bins.  Nyquist: a test function centred at time c
+    turns a factor's phase by delta_e*|c|/eps per bin, which must stay
+    <= NYQUIST_MARGIN, or the lattice sum aliases.
+    """
+    warnings = []
+    de = model.grid.delta_e
     sigma = max(s.phi.time_scale() for s in symbols)
     bound = epsilon / (RESOLUTION_BINS * sigma)
-    de = model.grid.delta_e
     if de > bound:
-        return (
-            f"grid resolution: delta_e={de:.6g} exceeds eps/({RESOLUTION_BINS:g}*sigma_t)={bound:.6g} at eps={epsilon:g}",
-        )
-    return ()
+        warnings.append(f"grid resolution: delta_e={de:.6g} exceeds eps/({RESOLUTION_BINS:g}*sigma_t)={bound:.6g} at eps={epsilon:g}")
+    phase = de * max(abs(s.phi.time_center()) for s in symbols) / epsilon
+    if phase > NYQUIST_MARGIN:
+        warnings.append(f"Nyquist: delta_e*|c|/eps={phase:.6g} exceeds pi/2 at eps={epsilon:g}")
+    return tuple(warnings)
+
+
+def _check_smeared_order(n: int) -> None:
+    if not 1 <= n <= MAX_SMEARED_N:
+        raise ValueError(f"smeared pairing sums support 1 <= n <= {MAX_SMEARED_N} symbols, got n={n}")
 
 
 class _PairingFactors:
@@ -139,14 +167,13 @@ class _PairingFactors:
 
         t_m[d] = ft_m((d delta_e - omega_m)/eps),   d = -(M-1) .. M-1,
 
-    stored at index d + M - 1, its FFT on next_fast_len(2M - 1) points, and
+    stored at index d + M - 1, its FFT on _fft_len(2M - 1) points, and
     the kernel vectors kern(l, j) of every slot pair.  An increasing slot
     subset reads the same vectors as if built from its own symbols.
     """
 
     def __init__(self, model: SpectralModel, symbols: tuple, epsilon: float):
-        if not 1 <= len(symbols) <= MAX_SMEARED_N:
-            raise ValueError(f"pairing_term_smeared supports 1 <= n <= {MAX_SMEARED_N}")
+        _check_smeared_order(len(symbols))
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
         grid = model.grid
@@ -154,11 +181,11 @@ class _PairingFactors:
         m = grid.bins
         self.m = m
         self.delta_e = grid.delta_e
-        self.size = next_fast_len(2 * m - 1)
+        self.size = _fft_len(2 * m - 1)
         self.warnings = resolution_warnings(model, symbols, epsilon)
         lags = np.arange(1 - m, m) * grid.delta_e  # E_b - E_a at lag b - a
         self.lag = [s.phi.fourier((lags - s.omega.omega(grid)) / epsilon) for s in symbols]
-        self.lag_fft = [fft(t, self.size) for t in self.lag]
+        self.lag_fft = [np.fft.fft(t, self.size) for t in self.lag]
         occupation = {DENSITY: model.density.values, COMMUTATOR: 1.0 + epsilon * model.density.values}
         self.kern = {
             (l, j): np.conj(model.amplitude(sj.g)) * model.amplitude(sl.f) * occupation[DENSITY if l <= j else COMMUTATOR]
@@ -195,9 +222,9 @@ class _PairingFactors:
                 pad = pads[i % 2][:nb]
                 np.multiply(x, k, out=pad[:, :m])
                 pad[:, m:] = 0
-                pad = fft(pad, axis=1, overwrite_x=True)
+                np.fft.fft(pad, axis=1, out=pad)
                 pad *= self.lag_fft[j - 1]
-                x = ifft(pad, axis=1, overwrite_x=True)[:, m - 1 : 2 * m - 1]
+                x = np.fft.ifft(pad, axis=1, out=pad)[:, m - 1 : 2 * m - 1]
             x = np.multiply(x, kern[-1], out=work[:nb])
             total += np.sum(np.multiply(x, last[rows], out=x))
         return self.delta_e**r * total
@@ -275,6 +302,7 @@ def convergence_sweep(model: SpectralModel, symbols, epsilons) -> ConvergenceRep
     per epsilon, with a per-cycle-diagram breakdown."""
     symbols = tuple(symbols)
     n = len(symbols)
+    _check_smeared_order(n)  # before the limit is computed
     limit = limit_truncated_smeared(model, symbols)
     rows = []
     for eps in epsilons:
@@ -318,6 +346,8 @@ def delta_lemma_check(f_space: TestFunction, phi_time: TestFunction, epsilons) -
     integral is done by adaptive quadrature over the analytically supported
     window.
     """
+    from scipy.integrate import quad  # the only scipy use; kept off the import path of every other command
+
     target = complex(2.0 * np.pi * float(phi_time(0.0)) * float(f_space(0.0)))
     rows = []
     for eps in epsilons:

@@ -228,20 +228,6 @@ def classify(diagram: PairDiagram) -> DiagramClass:
     return DiagramClass(cycles=cycles, irreducible=len(cycles) == 1, k=diagram.k)
 
 
-def is_irreducible_by_closure(diagram: PairDiagram) -> bool:
-    """Closure criterion: reducible iff some proper nonempty subset of slots
-    is mapped onto itself by sigma.  Equivalent to the single-cycle test;
-    kept as an independent cross-check.
-    """
-    n = diagram.n
-    slots = range(1, n + 1)
-    for r in range(1, n):
-        for subset in itertools.combinations(slots, r):
-            if set(diagram.image(l) for l in subset) == set(subset):
-                return False
-    return True
-
-
 def enumerate_pair_diagrams(n: int) -> list[PairDiagram]:
     """All n! pairing diagrams on n symbols."""
     if not 1 <= n <= MAX_ENUM_DIAGRAM:

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .finite_eps import _PairingFactors
+from .finite_eps import _PairingFactors, _check_smeared_order
 from .partitions import _check_arity, _first_block_transform, _subsets
 from .report import ConvergenceReport, SweepRow
 from .spectral import (
@@ -147,15 +147,8 @@ def poisson_moments(lam: float, n_max: int) -> list[float]:
 
 def _group_locus(symbols) -> tuple[float, float]:
     """(center, width) of a group's time support."""
-    centers = []
-    widths = []
-    for s in symbols:
-        if s.phi.family == "gaussian":
-            centers.append(s.phi.center)
-            widths.append(s.phi.width)
-        else:
-            centers.append(0.5 * (s.phi.lo + s.phi.hi))
-            widths.append(0.5 * (s.phi.hi - s.phi.lo))
+    centers = [s.phi.time_center() for s in symbols]
+    widths = [s.phi.width if s.phi.family == "gaussian" else 0.5 * (s.phi.hi - s.phi.lo) for s in symbols]
     return float(np.mean(centers)), float(max(widths))
 
 
@@ -168,13 +161,14 @@ def independence_probe(model: SpectralModel, groups, epsilons, min_separation_wi
     W_eps(S) from one set of pairing factors per epsilon.  Groups whose
     time supports are closer than min_separation_widths times the mean of
     their widths get a warning (the decay claim needs separated supports),
-    followed by the epsilon's grid-resolution warnings.
+    followed by the epsilon's grid warnings (width and Nyquist rules).
     """
     groups = [list(g) for g in groups]
     if len(groups) < 2:
         raise ValueError("independence_probe needs at least two groups")
     symbols = tuple(s for g in groups for s in g)
     n = len(symbols)
+    _check_smeared_order(n)
 
     warnings: list[str] = []
     loci = [_group_locus(g) for g in groups]

@@ -79,6 +79,14 @@ class TestFunction:
             return self.amplitude * (self.hi - self.lo)
         raise ValueError(f"unknown test-function family {self.family!r}")
 
+    def time_center(self) -> float:
+        """Centre c of the time support; ft carries the phase exp(i c xi)."""
+        if self.family == GAUSSIAN:
+            return self.center
+        if self.family == INDICATOR:
+            return 0.5 * (self.lo + self.hi)
+        raise ValueError(f"unknown test-function family {self.family!r}")
+
     def time_scale(self) -> float:
         """Width proxy used by the grid-resolution rule: the fourier factor of
         this function is resolved over |xi| ~ 1/time_scale."""

@@ -51,7 +51,6 @@ GAUGE = "gauge"
 ANNIHILATE = "annihilate"
 
 _NORMAL_RANK = {CREATE: 0, GAUGE: 1, ANNIHILATE: 2}
-_ANTI_RANK = {ANNIHILATE: 0, GAUGE: 1, CREATE: 2}
 _KIND_MARK = {CREATE: "B+", GAUGE: "NG", ANNIHILATE: "B-"}
 
 NORMAL_ORDER_STEP_CAP = 5_000_000
@@ -306,29 +305,6 @@ def commutator(a: WnGenerator, b: WnGenerator) -> WnExpression:
     return WnExpression(())
 
 
-def commutator_expr(x: WnExpression, y: WnExpression) -> WnExpression:
-    """Bilinear extension of the generator commutator via the derivation rule
-    [g_1..g_m, h] = sum_i g_1..g_{i-1} [g_i, h] g_{i+1}..g_m."""
-    terms: list[WnTerm] = []
-    for tx in x.terms:
-        for ty in y.terms:
-            coeff = tx.coeff * ty.coeff
-            for j, h in enumerate(ty.factors):
-                prefix_y = ty.factors[:j]
-                suffix_y = ty.factors[j + 1 :]
-                for i, g in enumerate(tx.factors):
-                    inner = commutator(g, h)
-                    for it in inner.terms:
-                        terms.append(
-                            WnTerm(
-                                coeff * it.coeff,
-                                prefix_y + tx.factors[:i] + it.factors + tx.factors[i + 1 :] + suffix_y,
-                            )
-                        )
-            # scalar parts commute; only generator pairs contribute
-    return canonicalize(WnExpression(tuple(terms)))
-
-
 def normal_order(expr: WnExpression, ranks: Mapping[str, int] = _NORMAL_RANK) -> WnExpression:
     """Rewrite xy -> yx + [x,y] at the leftmost disordered pair until no
     adjacent pair is disordered, then merge equal terms.
@@ -356,12 +332,6 @@ def normal_order(expr: WnExpression, ranks: Mapping[str, int] = _NORMAL_RANK) ->
         for ct in commutator(x, y).terms:
             stack.append(WnTerm(term.coeff * ct.coeff, head + ct.factors + tail))
     return canonicalize(WnExpression(tuple(done)))
-
-
-def anti_normal_order(expr: WnExpression) -> WnExpression:
-    """Annihilators left; the opposite ordering, used as a confluence check
-    that rewriting preserves the algebra element."""
-    return normal_order(expr, ranks=_ANTI_RANK)
 
 
 def number_symbol_expansion(slot: int, f: str, g: str, include_scalar: bool) -> list[WnTerm]:

@@ -5,7 +5,9 @@ partitions come from restricted growth strings, pairing values from a raw
 n-fold lattice sum or from dense M x M matrix chains, limit coefficients
 from an explicit shifted-diagonal loop, vacuum expectations from full
 normal ordering of every expansion branch.  They are slow and only meant for
-tiny sizes.
+tiny sizes.  The cross-checks at the end (the closure test for irreducible
+diagrams, the commutator of two expressions, anti-normal ordering) exist only
+to test the library's own rules against a second route.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from lowdensity import (
     WnExpression,
     WnTerm,
     canonicalize,
+    commutator,
     correlation_smeared,
     make_model,
     normal_order,
@@ -284,3 +287,44 @@ def vacuum_expectation_oracle(labels, include_scalar=True):
         collected.extend(t for t in ordered.terms if not t.factors)
     merged = canonicalize(WnExpression(tuple(collected)))
     return VacuumExpectation(k, labels, include_scalar, _vacuum_terms(k, merged))
+
+
+def is_irreducible_by_closure(diagram):
+    """Closure criterion: reducible iff some proper nonempty subset of slots
+    is mapped onto itself by sigma.  Equivalent to the single-cycle test."""
+    n = diagram.n
+    slots = range(1, n + 1)
+    for r in range(1, n):
+        for subset in itertools.combinations(slots, r):
+            if set(diagram.image(l) for l in subset) == set(subset):
+                return False
+    return True
+
+
+def commutator_expr(x, y):
+    """Bilinear extension of the generator commutator via the derivation rule
+    [g_1..g_m, h] = sum_i g_1..g_{i-1} [g_i, h] g_{i+1}..g_m; scalar parts
+    commute, so only generator pairs contribute."""
+    terms = []
+    for tx in x.terms:
+        for ty in y.terms:
+            coeff = tx.coeff * ty.coeff
+            for j, h in enumerate(ty.factors):
+                prefix_y = ty.factors[:j]
+                suffix_y = ty.factors[j + 1 :]
+                for i, g in enumerate(tx.factors):
+                    for it in commutator(g, h).terms:
+                        terms.append(
+                            WnTerm(
+                                coeff * it.coeff,
+                                prefix_y + tx.factors[:i] + it.factors + tx.factors[i + 1 :] + suffix_y,
+                            )
+                        )
+    return canonicalize(WnExpression(tuple(terms)))
+
+
+def anti_normal_order(expr):
+    """Annihilators left: the opposite ordering, a confluence check that
+    rewriting preserves the algebra element."""
+    ranks = {white_noise.ANNIHILATE: 0, white_noise.GAUGE: 1, white_noise.CREATE: 2}
+    return normal_order(expr, ranks=ranks)

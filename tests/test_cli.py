@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, deterministic tables, sidecars."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -253,6 +254,54 @@ def test_delta_lemma_indicator_phi():
         "delta-lemma", "--phi-family", "indicator", "--phi-lo", "-1", "--phi-hi", "1",
         "--epsilons", "0.1,0.05", "--sigma-x", "0.8",
     ]) == 0
+
+
+def test_delta_lemma_table_matches_closed_form(tmp_path):
+    # gaussian phi and f of unit width: I(eps) = 2 pi / sqrt(1 + eps^2)
+    out = tmp_path / "delta.csv"
+    assert main(["delta-lemma", "--out", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()
+    assert header == ",".join(CSV_COLUMNS)
+    assert [row.split(",")[0] for row in rows] == ["0.1", "0.03", "0.01"]
+    for row in rows:
+        fields = dict(zip(header.split(","), row.split(",")))
+        eps = float(fields["epsilon"])
+        assert float(fields["value_re"]) == pytest.approx(2 * math.pi / math.sqrt(1 + eps**2), rel=1e-12)
+        assert float(fields["value_im"]) == 0.0
+        assert float(fields["limit_re"]) == 2 * math.pi
+
+
+def _five_symbol_config(tmp_path):
+    cfg = dict(CONFIG, symbols=CONFIG["symbols"][:1] * 5)
+    path = tmp_path / "five.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_sweep_above_order_cap_fails_before_the_limit(tmp_path, capsys, monkeypatch):
+    def limit_called(*args, **kwargs):
+        raise AssertionError("limit computed before the order check")
+
+    monkeypatch.setattr("lowdensity.finite_eps.limit_truncated_smeared", limit_called)
+    assert main(["sweep", "--config", _five_symbol_config(tmp_path)]) == 1
+    assert "error: smeared pairing sums support 1 <= n <= 4 symbols, got n=5" in capsys.readouterr().err
+
+
+def test_independence_above_order_cap_fails_first(tmp_path, capsys, monkeypatch):
+    def locus_called(*args, **kwargs):
+        raise AssertionError("group separation checked before the order check")
+
+    monkeypatch.setattr("lowdensity.statistics._group_locus", locus_called)
+    assert main(["independence", "--config", _five_symbol_config(tmp_path)]) == 1
+    assert "error: smeared pairing sums support 1 <= n <= 4 symbols, got n=5" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported by delta-lemma's quadrature only
+    code = "import sys, lowdensity, lowdensity.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 REPORT_HEADER = ",".join(CSV_COLUMNS)

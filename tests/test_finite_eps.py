@@ -23,10 +23,12 @@ from lowdensity import (
     PairDiagram,
     TestFunction,
     correlation_fixed_times,
+    convergence_sweep,
     correlation_smeared,
     delta_lemma_check,
     enumerate_pair_diagrams,
     enumerate_set_partitions,
+    independence_probe,
     limit_truncated_smeared,
     pairing_term_smeared,
     rank_one_kernel,
@@ -35,7 +37,7 @@ from lowdensity import (
     truncated_from_full,
     truncated_smeared,
 )
-from lowdensity.finite_eps import COMMUTATOR, DENSITY, two_point
+from lowdensity.finite_eps import COMMUTATOR, DENSITY, _fft_len, two_point
 
 
 def close(got, want, rel=1e-9):
@@ -292,6 +294,50 @@ def test_resolution_warning_threshold():
     # a much finer grid at the same epsilon stays quiet
     fine = gaussian_shell_model(bins=512)
     assert resolution_warnings(fine, [sym], 0.5) == ()
+
+
+@pytest.mark.parametrize("bins, warns", [(64, True), (512, False)])
+def test_nyquist_rule_reaches_every_smeared_path(bins, warns):
+    # singletons at t = 0 and 10: delta_e * 10 / eps is 6.25 at 64 bins and
+    # 0.78 <= pi/2 at 512 bins, eps = 0.1
+    model = gaussian_shell_model(bins=bins)
+    symbols = [
+        NumberSymbol.make("a", "a", 0, TestFunction.gaussian(center=0.0)),
+        NumberSymbol.make("b", "b", 0, TestFunction.gaussian(center=10.0)),
+    ]
+    paths = {
+        "rule": resolution_warnings(model, symbols, 0.1),
+        "sweep": convergence_sweep(model, symbols, (0.1,)).rows[0].warnings,
+        "independence": independence_probe(model, [[s] for s in symbols], (0.1,)).rows[0].warnings,
+        "diagram": pairing_term_smeared(model, symbols, PairDiagram((2, 1)), 0.1).warnings,
+    }
+    for path, warnings in paths.items():
+        if warns:
+            assert "Nyquist: delta_e*|c|/eps=6.25 exceeds pi/2 at eps=0.1" in warnings, path
+        else:
+            assert warnings == (), path
+
+
+@pytest.mark.parametrize(
+    "phi, warns",
+    [
+        (TestFunction.gaussian(center=20.0), True),  # 0.01 * 20 / 0.1 = 2 > pi/2
+        (TestFunction.gaussian(center=-15.0), False),  # 1.5 <= pi/2
+        (TestFunction.indicator(19.0, 21.0), True),  # the midpoint is the centre
+        (TestFunction.indicator(-16.0, -14.0), False),
+    ],
+)
+def test_nyquist_threshold_reads_the_time_centre(phi, warns):
+    model = gaussian_shell_model(bins=400)  # delta_e = 0.01 passes the width rule at eps = 0.1
+    got = resolution_warnings(model, [NumberSymbol.make("a", "b", 0, phi)], 0.1)
+    assert got == (("Nyquist: delta_e*|c|/eps=2 exceeds pi/2 at eps=0.1",) if warns else ())
+
+
+def test_fft_len_is_scipys_next_fast_len():
+    from scipy.fft import next_fast_len
+
+    sizes = range(1, 20001)
+    assert [_fft_len(n) for n in sizes] == [next_fast_len(n) for n in sizes]
 
 
 def test_fixed_times_order_one():

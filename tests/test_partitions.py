@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from helpers import BELL_VALUES, rgs_partitions
+from helpers import BELL_VALUES, is_irreducible_by_closure, rgs_partitions
 from lowdensity import (
     PairDiagram,
     SetPartition,
@@ -14,7 +14,6 @@ from lowdensity import (
     enumerate_pair_diagrams,
     enumerate_set_partitions,
     irreducible_diagrams,
-    is_irreducible_by_closure,
     stirling2,
     surviving_diagram,
     touchard,

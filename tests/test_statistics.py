@@ -264,7 +264,9 @@ def test_independence_rows_carry_resolution_warnings():
     assert resolved.rows[0].warnings == ()
     coarse = independence_probe(gaussian_shell_model(bins=16), groups, (0.5, 0.2))
     for row in coarse.rows:
-        assert len(row.warnings) == 1 and row.warnings[0].startswith("grid resolution: delta_e=0.25 exceeds")
+        # the far symbol at t = 10 also turns 0.25 * 10 / eps > pi/2 per bin
+        assert len(row.warnings) == 2 and row.warnings[0].startswith("grid resolution: delta_e=0.25 exceeds")
+        assert row.warnings[1].startswith("Nyquist: delta_e*|c|/eps=")
     # separation warnings come first, the epsilon's resolution warning after
     near = [groups[0], [NumberSymbol.make("b", "b", 0, phi_near)]]
     both = independence_probe(gaussian_shell_model(bins=16), near, (0.5,))

@@ -7,18 +7,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import BELL_VALUES, random_model, rgs_partitions, vacuum_expectation_oracle
+from helpers import BELL_VALUES, anti_normal_order, commutator_expr, random_model, rgs_partitions, vacuum_expectation_oracle
 from lowdensity import (
     Coefficient,
     FrequencyIndex,
     WnExpression,
     WnTerm,
     annihilator,
-    anti_normal_order,
     bell,
     canonicalize,
     commutator,
-    commutator_expr,
     creator,
     evaluate_symbolic,
     gauge,
