@@ -222,6 +222,12 @@ def cmd_independence(args) -> int:
         print(f"eps={row.epsilon:<8g} |probe|={abs(row.value):.6e}{warn}")
     _emit(args, report, _meta(args, "independence", **report.metadata))
     if args.do_assert:
+        # a warned row means the probe's premise fails (separation) or its
+        # value is not trusted (grid width, Nyquist): its decay proves nothing
+        warned = [row for row in report.rows if row.warnings]
+        if warned:
+            raise AssertionFailed(f"{len(warned)} of {len(report.rows)} rows carry warnings, "
+                                  f"first at eps={warned[0].epsilon:g}: {warned[0].warnings[0]}")
         first, last = abs(report.rows[0].value), abs(report.rows[-1].value)
         if last > first:
             raise AssertionFailed(f"probe magnitude grew from {first:.3e} to {last:.3e}")

@@ -2,11 +2,14 @@
 
 The truncation identity over set partitions with increasing blocks is the
 same transform that connects classical moments and cumulants, so one core
-implementation, partitions._first_block_transform, serves both names; no
-set partition is ever listed.  The Poisson family realizes the flagship
-example: a hard shell of radius sqrt(lambda) at unit density, smeared with
-the unit-mass box of width 2 pi, has every cumulant equal to lambda, hence
-Touchard-polynomial moments and Bell-number moments at lambda = 1.
+implementation, partitions._first_block_transform, serves both names for
+every family of subset values; no set partition is ever listed.  The
+Poisson family realizes the flagship example: a hard shell of radius
+sqrt(lambda) at unit density, smeared with the unit-mass box of width
+2 pi, has every cumulant equal to lambda, hence Touchard-polynomial moments
+and Bell-number moments at lambda = 1.  With one cumulant value the
+identity depends only on block sizes, so poisson_moments runs it on
+moment orders instead of subsets.
 """
 
 from __future__ import annotations
@@ -135,14 +138,22 @@ def poisson_cumulants(lam: float, l_max: int, grid: EnergyGrid, omega_index: int
 
 
 def poisson_moments(lam: float, n_max: int) -> list[float]:
-    """Moments of a Poisson(lambda) variable via the cumulant transform;
-    equal to the Touchard values sum_k S(n,k) lambda^k, Bell numbers at
-    lambda = 1."""
+    """m_1 .. m_{n_max} of a Poisson(lambda) variable from its cumulants,
+    all equal to lambda.  With one cumulant value the first-block identity
+    depends only on the size j of the block left after the first:
+
+        m_n = lambda * sum_{j<n} C(n-1, j) m_j,  m_0 = 1,
+
+    n (n + 1) / 2 terms in all.  The values are the Touchard polynomials
+    sum_k S(n,k) lambda^k, Bell numbers at lambda = 1.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    _check_arity(n_max)  # before the 2^n_max - 1 subsets are built
-    family = moments_from_cumulants(CorrelationFamily.from_function(n_max, lambda s: lam))
-    return [family.value(tuple(range(1, n + 1))).real for n in range(1, n_max + 1)]
+    _check_arity(n_max)  # the same range as the transform it stands in for
+    m = [1.0]
+    for n in range(1, n_max + 1):
+        m.append(lam * sum(math.comb(n - 1, j) * m[j] for j in range(n)))
+    return m[1:]
 
 
 def _group_locus(symbols) -> tuple[float, float]:

@@ -153,11 +153,28 @@ def test_poisson_nonzero_omega_zeros(capsys):
     assert main(["poisson", "--lambda", "1.0", "--omega-index", "2", "--grid-bins", "32", "--e-max", "4", "--assert"]) == 0
 
 
-def test_independence_groups_and_assert(config_path):
+def test_independence_groups_and_assert(tmp_path):
+    # windows 3 apart at width 0.5, and 192 bins: separated, and resolved by
+    # the width and Nyquist rules at both epsilons, so no row is warned
+    cfg = dict(CONFIG, grid={"e_min": 0.0, "e_max": 4.0, "bins": 192},
+               density={"type": "table", "values": [1.0] * 96 + [0.5] * 96})
+    cfg["symbols"] = [
+        {"f": "a", "g": "b", "omega_index": 0, "phi": {"family": "gaussian", "center": 0.0, "width": 0.5}},
+        {"f": "b", "g": "a", "omega_index": 0, "phi": {"family": "gaussian", "center": 3.0, "width": 0.5}},
+    ]
+    path = tmp_path / "separated.json"
+    path.write_text(json.dumps(cfg))
     assert main([
-        "independence", "--config", config_path, "--groups", "1;2",
-        "--epsilons", "0.2,0.1", "--separation", "0.1", "--assert",
+        "independence", "--config", str(path), "--groups", "1;2",
+        "--epsilons", "0.2,0.1", "--separation", "4", "--assert",
     ]) == 0
+
+
+def test_independence_assert_fails_on_warned_rows(capsys):
+    # the default symbols share t = 0 and the default grid is too coarse:
+    # every row is warned, so the decay of the probe proves nothing
+    assert main(["independence", "--assert"]) == 2
+    assert "rows carry warnings" in capsys.readouterr().err
 
 
 def test_independence_json_has_no_nan(tmp_path):

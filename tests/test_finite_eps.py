@@ -13,7 +13,7 @@ the epsilon-order bookkeeping.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import gaussian_shell_model, pairing_chain_oracle, pairing_oracle, random_model, random_phi, random_symbols
@@ -220,6 +220,43 @@ def test_hermiticity_of_smeared_correlations(rng):
         lhs = correlation_smeared(model, symbols, eps)
         rhs = np.conj(correlation_smeared(model, symbols[::-1], eps))
         close(lhs, rhs, rel=1e-10)
+
+
+def _adjoint(symbol):
+    # N_{f,g,s}* = N_{g,f,-s}; phi is real, so it stays
+    return NumberSymbol.make(symbol.g, symbol.f, -symbol.omega.s, symbol.phi)
+
+
+_ADJOINT_SPEC = st.tuples(
+    st.sampled_from(["a", "b"]),
+    st.sampled_from(["a", "b"]),
+    st.integers(-2, 2),
+    st.sampled_from(["gaussian", "indicator"]),
+    st.floats(-0.5, 0.5),
+    st.floats(0.5, 1.5),
+)
+
+
+@pytest.mark.parametrize("fn", [correlation_smeared, truncated_smeared])
+@given(
+    bins=st.integers(4, 32),
+    seed=st.integers(0, 2**32 - 1),
+    eps=st.floats(0.05, 0.5),
+    specs=st.lists(_ADJOINT_SPEC, min_size=1, max_size=3),
+)
+@example(
+    bins=32, seed=7, eps=0.2,
+    specs=[("a", "b", 1, "gaussian", 0.1, 1.0), ("b", "b", -2, "indicator", -0.3, 0.8),
+           ("b", "a", 0, "gaussian", 0.4, 0.6), ("a", "a", 2, "indicator", 0.0, 1.2)],
+)
+@settings(max_examples=25)
+def test_adjoint_symmetry(fn, bins, seed, eps, specs):
+    # W(N_1 ... N_n)* = W(N_n* ... N_1*)
+    model = random_model(np.random.default_rng(seed), bins=bins)
+    symbols = [_symbol(*spec) for spec in specs]
+    lhs = np.conj(fn(model, symbols, eps))
+    rhs = fn(model, [_adjoint(s) for s in reversed(symbols)], eps)
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
 def test_size_caps_raise():

@@ -222,6 +222,30 @@ def test_poisson_moments_are_touchard_to_the_cap(lam):
         assert abs(m - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("lam", [0.125, 0.5, 1.0, 1.375, 2.0, 8.0])
+def test_transform_reproduces_poisson_moments(lam):
+    # poisson_moments runs its own one-variable recursion; the subset
+    # transform must agree with it on the constant-lambda family
+    moments = moments_from_cumulants(CorrelationFamily.from_function(MAX_ENUM_PARTITION, lambda s: lam))
+    direct = poisson_moments(lam, MAX_ENUM_PARTITION)
+    for n in range(1, MAX_ENUM_PARTITION + 1):
+        want = touchard(n, lam)
+        got = moments.value(tuple(range(1, n + 1)))
+        assert abs(got - want) <= 1e-12 * want
+        assert abs(got - direct[n - 1]) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("lam", [0.125, 0.5, 1.0, 1.375, 2.0, 8.0])
+def test_cumulants_of_touchard_moments_are_lambda(lam):
+    # arity 11, not 12: kappa_n cancels moments up to touchard(n, lam), so
+    # the inverse amplifies their rounding; touchard(12, 1.375) ~ 2.6e7 is
+    # rounded and gives kappa_12 off by 1.6e-8 relative
+    arity = MAX_ENUM_PARTITION - 1
+    cumulants = cumulants_from_moments(CorrelationFamily.from_function(arity, lambda s: touchard(len(s), lam)))
+    for s in _subsets(arity):
+        assert abs(cumulants.value(s) - lam) <= 1e-12 * lam
+
+
 def test_independence_probe_decays_for_separated_groups():
     model = gaussian_shell_model(bins=256)
     phi_near = TestFunction.gaussian(width=0.5)
