@@ -21,14 +21,12 @@ from .partitions import (
     touchard,
 )
 from .spectral import (
-    AmplitudePair,
     DensityProfile,
     EnergyGrid,
     LimitCoefficient,
     ShellAmplitude,
     ShellKernel,
     SpectralModel,
-    amplitude_pair,
     free_moment,
     limit_truncated_coefficient,
     limit_truncated_smeared,

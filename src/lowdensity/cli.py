@@ -19,9 +19,9 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, default_config, load_config, load_symbols, model_from_config, symbols_from_config, test_function_from_config
 from .finite_eps import convergence_sweep, delta_lemma_check
-from .partitions import MAX_ENUM_PARTITION, bell, classify, enumerate_pair_diagrams, surviving_diagram, touchard
+from .partitions import MAX_ENUM_PARTITION, _check_arity, bell, classify, enumerate_pair_diagrams, surviving_diagram, touchard
 from .report import ConvergenceReport, write_sidecar, write_table
-from .spectral import TWO_PI, EnergyGrid, amplitude_pair, limit_truncated_coefficient, limit_truncated_smeared, free_moment
+from .spectral import TWO_PI, EnergyGrid, free_moment, limit_truncated_coefficient, limit_truncated_smeared, rank_one_kernel
 from .statistics import independence_probe, poisson_cumulants, poisson_moments
 from .symbols import FrequencyIndex, NumberSymbol, TestFunction
 from .white_noise import evaluate_symbolic, vacuum_expectation
@@ -77,7 +77,7 @@ def _meta(args, command: str, **extra) -> dict:
 def cmd_limit(args) -> int:
     cfg, model = _load(args)
     symbols = symbols_from_config(cfg, model)
-    kernels = [amplitude_pair(model, s.f, s.g) for s in symbols]
+    kernels = [rank_one_kernel(model, s.f, s.g) for s in symbols]
     coeff = limit_truncated_coefficient(model, kernels, [s.omega for s in symbols])
     smeared = limit_truncated_smeared(model, symbols)
     n = len(symbols)
@@ -161,8 +161,10 @@ def cmd_free_check(args) -> int:
 
 
 def cmd_poisson(args) -> int:
-    if args.moments is not None and args.moments < 1:
-        raise ConfigError(f"--moments must be at least 1, got {args.moments}")
+    if args.moments is not None:
+        if args.moments < 1:
+            raise ConfigError(f"--moments must be at least 1, got {args.moments}")
+        _check_arity(args.moments)  # before any lambda is computed or printed
     grid = EnergyGrid(e_max=args.e_max, bins=args.bins)
     rows = []
     failures = []
@@ -281,7 +283,7 @@ def cmd_wn_expect(args) -> int:
         print(f"partition {part_text:<12} chain order {order}  value = {value:.10g}")
     print(f"connected value = {evaluated.connected:.12g}")
 
-    kernels = [amplitude_pair(model, f, g) for f, g in labels]
+    kernels = [rank_one_kernel(model, f, g) for f, g in labels]
     coeff = limit_truncated_coefficient(model, kernels, [FrequencyIndex(0)] * k)
     expected = TWO_PI ** (k - 1) * coeff.value
     print(f"chain coefficient check: engine={evaluated.connected:.10g}  spectral={expected:.10g}")
@@ -400,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("independence", cmd_independence, "decay of correlations between separated groups")
     p.add_argument("--epsilons", type=_float_list, default=[0.2, 0.1, 0.05])
-    p.add_argument("--groups", help="semicolon-separated 1-based symbol index groups, e.g. '1,2;3'")
+    p.add_argument("--groups", help="semicolon-separated 1-based symbol index groups, e.g. '1,2;3'; each group's product is centred")
     p.add_argument("--separation", type=float, default=10.0,
                    help="required group separation in units of the mean time width")
 

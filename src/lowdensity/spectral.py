@@ -6,7 +6,9 @@ operator into its energy kernel K(E_a, E_b) evaluated at bin centers, and
 every energy integral into a bin sum weighted by delta_e.  Rank-one symbols
 |f><g| carry one complex shell amplitude per vector, with the density of
 states already absorbed, so <g, P_E f> = conj(v_g(E)) * v_f(E) and no
-geometric factors appear anywhere downstream.
+geometric factors appear anywhere downstream.  A kernel is kept as those two
+vectors, K(E_a, E_b) = v_f(E_a) conj(v_g(E_b)), never as an M x M matrix;
+the star product of two rank-one kernels is again rank-one.
 
 The limiting value of a truncated multi-time correlation function is a single
 bin sum over a chain of frequency-shifted kernel entries; the delta chain in
@@ -171,63 +173,42 @@ def make_model(grid: EnergyGrid, density: DensityProfile, vectors) -> SpectralMo
 
 @dataclass(frozen=True, eq=False)
 class ShellKernel:
-    """Energy kernel K(E_a, E_b) of a trace-class symbol on the grid."""
+    """Energy kernel of a rank-one symbol on the grid, kept as two vectors:
+    K(E_a, E_b) = left[a] * right_conj[b]."""
 
     grid: EnergyGrid
-    matrix: np.ndarray
+    left: np.ndarray
+    right_conj: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (self.grid.bins, self.grid.bins):
-            raise ValueError("kernel matrix must be bins x bins")
-        object.__setattr__(self, "matrix", mat)
-
-    @classmethod
-    def rank_one(cls, grid: EnergyGrid, v_f: np.ndarray, v_g: np.ndarray) -> "ShellKernel":
-        """Kernel of |f><g|: K(E_a, E_b) = v_f(E_a) conj(v_g(E_b))."""
-        return cls(grid, np.outer(np.asarray(v_f, complex), np.conj(np.asarray(v_g, complex))))
+        for name in ("left", "right_conj"):
+            vec = getattr(self, name)
+            if not (isinstance(vec, np.ndarray) and vec.ndim == 1 and np.iscomplexobj(vec)
+                    and len(vec) == self.grid.bins):
+                raise ValueError(f"kernel {name} must be a 1-D complex array of length {self.grid.bins}")
 
     def diagonal(self) -> np.ndarray:
-        return np.diagonal(self.matrix)
+        return self.left * self.right_conj
 
     def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return self.matrix[rows, cols]
+        return self.left[rows] * self.right_conj[cols]
 
 
 def rank_one_kernel(model: SpectralModel, f: str, g: str) -> ShellKernel:
-    return ShellKernel.rank_one(model.grid, model.amplitude(f), model.amplitude(g))
-
-
-@dataclass(frozen=True, eq=False)
-class AmplitudePair:
-    """The rank-one kernel |f><g| kept as its two amplitude vectors, for
-    reading a few entries without building the M x M matrix.
-
-    entries(rows, cols) = v_f[rows] * conj(v_g)[cols], the same single
-    product that ShellKernel.rank_one stores, so values are bit-identical.
-    """
-
-    grid: EnergyGrid
-    v_f: np.ndarray
-    v_g_conj: np.ndarray
-
-    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return self.v_f[rows] * self.v_g_conj[cols]
-
-
-def amplitude_pair(model: SpectralModel, f: str, g: str) -> AmplitudePair:
-    return AmplitudePair(model.grid, model.amplitude(f), np.conj(model.amplitude(g)))
+    """Kernel of |f><g|: K(E_a, E_b) = v_f(E_a) conj(v_g(E_b))."""
+    return ShellKernel(model.grid, model.amplitude(f), np.conj(model.amplitude(g)))
 
 
 def star_product(t: ShellKernel, u: ShellKernel) -> ShellKernel:
     """Free white-noise product: (T * U)(E_a, E_b) = 2 pi T(E_a, E_a) U(E_a, E_b).
 
     This is the kernel of 2 pi * integral dE P_E T P_E U on the grid; the
-    projection pins the first energy argument of both factors.
+    projection pins the first energy argument of both factors, so only the
+    left vector of U is rescaled and the product stays rank-one.
     """
     if t.grid != u.grid:
         raise ValueError("star product needs kernels on the same grid")
-    return ShellKernel(t.grid, TWO_PI * t.diagonal()[:, None] * u.matrix)
+    return ShellKernel(t.grid, TWO_PI * t.diagonal() * u.left, u.right_conj)
 
 
 def state_expectation(model: SpectralModel, kernel: ShellKernel) -> complex:
@@ -256,7 +237,7 @@ def limit_truncated_coefficient(model: SpectralModel, kernels, freqs) -> LimitCo
 
     Parameters
     ----------
-    kernels : sequence of ShellKernel or AmplitudePair
+    kernels : sequence of ShellKernel
         Symbols T_1 .. T_n in time order; only entries(rows, cols) is read.
     freqs : sequence of FrequencyIndex
         Integer lattice frequencies omega_l = s_l * delta_e.
@@ -305,7 +286,7 @@ def limit_truncated_smeared(model: SpectralModel, symbols) -> complex:
     gate fails.
     """
     symbols = list(symbols)
-    kernels = [amplitude_pair(model, s.f, s.g) for s in symbols]
+    kernels = [rank_one_kernel(model, s.f, s.g) for s in symbols]
     coeff = limit_truncated_coefficient(model, kernels, [s.omega for s in symbols])
     if not coeff.omega_gate_passed:
         return 0j

@@ -68,6 +68,7 @@ class CorrelationFamily:
 
 
 def truncated_from_full(family: CorrelationFamily) -> CorrelationFamily:
+    """Truncated correlations; the inverse, as accurate as cumulants_from_moments."""
     return CorrelationFamily(family.arity, _first_block_transform(family.arity, family.values, inverse=True))
 
 
@@ -77,7 +78,10 @@ def full_from_truncated(family: CorrelationFamily) -> CorrelationFamily:
 
 def cumulants_from_moments(family: CorrelationFamily) -> CorrelationFamily:
     """Joint cumulants of the family; by the truncation identity these are
-    exactly the truncated correlations."""
+    exactly the truncated correlations.  Unflagged accuracy loss: the inverse
+    cancels moments up to ~touchard(n, lambda), so on the Touchard family at
+    arity 12 it misses lambda by 1.9e-8 relative at lambda = 1.1, 8.5e-7 at 3.7.
+    """
     return CorrelationFamily(family.arity, _first_block_transform(family.arity, family.values, inverse=True))
 
 
@@ -164,12 +168,14 @@ def _group_locus(symbols) -> tuple[float, float]:
 
 
 def independence_probe(model: SpectralModel, groups, epsilons, min_separation_widths: float = 10.0) -> ConvergenceReport:
-    """Finite-epsilon expectation of the product of the centered symbols,
-    each symbol minus its own expectation, against the asymptotic value 0.
+    """Finite-epsilon expectation of the product of the centered group
+    elements, each group's product minus its own expectation, against the
+    asymptotic value 0.
 
-    Centering expands the probe over index subsets:
-    sum_S (-1)^(n-|S|) prod_{i not in S} W_eps(i) * W_eps(S), with every
-    W_eps(S) from one set of pairing factors per epsilon.  Groups whose
+    Centering expands the probe over the subsets G of the g groups:
+    sum_G (-1)^(g-|G|) prod_{h not in G} W_eps(h) * W_eps(union of G), with
+    every W_eps from one set of pairing factors per epsilon.  With singleton
+    groups this is the expansion over index subsets.  Groups whose
     time supports are closer than min_separation_widths times the mean of
     their widths get a warning (the decay claim needs separated supports),
     followed by the epsilon's grid warnings (width and Nyquist rules).
@@ -188,15 +194,20 @@ def independence_probe(model: SpectralModel, groups, epsilons, min_separation_wi
         if abs(ci - cj) < need:
             warnings.append(f"groups {i} and {j} separated by {abs(ci - cj):.3g} < {need:.3g}")
 
+    # each group's 1-based slots; a union of groups in group order is increasing
+    index = iter(range(1, n + 1))
+    slots = [tuple(itertools.islice(index, len(g))) for g in groups]
+    n_groups = len(groups)
     rows = []
     for eps in epsilons:
         factors = _PairingFactors(model, symbols, float(eps))
         full = factors.full_family()
         total = 0j
-        for size in range(0, n + 1):
-            for subset in itertools.combinations(range(1, n + 1), size):
-                outside = math.prod((full[(i,)] for i in range(1, n + 1) if i not in subset), start=1.0 + 0j)
-                total += (-1.0) ** (n - size) * outside * (full[subset] if subset else 1.0)
+        for size in range(0, n_groups + 1):
+            for chosen in itertools.combinations(range(n_groups), size):
+                outside = math.prod((full[slots[h]] for h in range(n_groups) if h not in chosen), start=1.0 + 0j)
+                union = tuple(i for h in chosen for i in slots[h])
+                total += (-1.0) ** (n_groups - size) * outside * (full[union] if chosen else 1.0)
         rows.append(SweepRow(epsilon=float(eps), value=complex(total), limit=0j, warnings=tuple(warnings) + factors.warnings))
     meta = {
         "n": n,

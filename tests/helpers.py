@@ -166,22 +166,38 @@ def pairing_chain_oracle(model, symbols, diagram, epsilon):
     return complex(value)
 
 
-def independence_probe_oracle(model, symbols, epsilon):
-    """Centered-product probe sum_S (-1)^(n-|S|) prod_{i not in S} W(i) W(S)
-    from one correlation_smeared call per index subset, each building its
-    pairing factors from that subset's own symbols."""
-    n = len(symbols)
-    singles = [correlation_smeared(model, [s], epsilon) for s in symbols]
+def independence_probe_oracle(model, groups, epsilon):
+    """Centered-group probe sum_G (-1)^(g-|G|) prod_{h not in G} W(h) W(union G)
+    over the subsets G of the g groups, from one correlation_smeared call per
+    group union, each building its pairing factors from that union's own
+    symbols."""
+    groups = [list(grp) for grp in groups]
+    g = len(groups)
+    singles = [correlation_smeared(model, grp, epsilon) for grp in groups]
     total = 0j
-    for size in range(n + 1):
-        for subset in itertools.combinations(range(1, n + 1), size):
+    for size in range(g + 1):
+        for chosen in itertools.combinations(range(g), size):
             outside = 1.0 + 0j
-            for i in range(1, n + 1):
-                if i not in subset:
-                    outside *= singles[i - 1]
-            w = correlation_smeared(model, [symbols[i - 1] for i in subset], epsilon) if subset else 1.0
-            total += (-1.0) ** (n - size) * outside * w
+            for h in range(g):
+                if h not in chosen:
+                    outside *= singles[h]
+            union = [s for h in chosen for s in groups[h]]
+            w = correlation_smeared(model, union, epsilon) if chosen else 1.0
+            total += (-1.0) ** (g - size) * outside * w
     return complex(total)
+
+
+def symbol_centred_probe(full, n):
+    """The probe with every symbol centred on its own,
+    sum_S (-1)^(n-|S|) prod_{i not in S} W(i) W(S) over index subsets S, read
+    from a full-correlation family; with singleton groups independence_probe
+    sums the same terms in the same order."""
+    total = 0j
+    for size in range(0, n + 1):
+        for subset in itertools.combinations(range(1, n + 1), size):
+            outside = math.prod((full[(i,)] for i in range(1, n + 1) if i not in subset), start=1.0 + 0j)
+            total += (-1.0) ** (n - size) * outside * (full[subset] if subset else 1.0)
+    return total
 
 
 def coefficient_oracle(model, kernels, s_indices):
@@ -200,7 +216,7 @@ def coefficient_oracle(model, kernels, s_indices):
             if not (0 <= row < grid.bins and 0 <= col < grid.bins):
                 ok = False
                 break
-            term *= kernels[l].matrix[row, col]
+            term *= kernels[l].left[row] * kernels[l].right_conj[col]
         if ok:
             total += term
     return complex(total * grid.delta_e)

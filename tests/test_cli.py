@@ -138,9 +138,12 @@ def test_poisson_misaligned_lambda_exits_one(capsys):
 
 
 def test_poisson_moments_above_cap_exit_one(capsys):
-    code = main(["poisson", "--lambda", "1.0", "--moments", "13", "--grid-bins", "32", "--e-max", "4"])
+    # refused before the first lambda's cumulants are computed or printed
+    code = main(["poisson", "--lambda", "1.0,2.0", "--moments", "13", "--grid-bins", "32", "--e-max", "4"])
     assert code == 1
-    assert "arity <= 12, got 13" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "arity <= 12, got 13" in captured.err
 
 
 def test_poisson_moments_below_one_exit_one(capsys):
@@ -168,6 +171,22 @@ def test_independence_groups_and_assert(tmp_path):
         "independence", "--config", str(path), "--groups", "1;2",
         "--epsilons", "0.2,0.1", "--separation", "4", "--assert",
     ]) == 0
+
+
+def test_independence_groups_change_the_probe(tmp_path, capsys):
+    # '1,2;3' centres the product of symbols 1 and 2 as one element
+    cfg = dict(CONFIG)
+    cfg["symbols"] = CONFIG["symbols"] + [
+        {"f": "a", "g": "a", "omega_index": 0, "phi": {"family": "gaussian", "center": 2.0, "width": 0.6}},
+    ]
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(cfg))
+    printed = {}
+    for groups in ("1,2;3", "1;2;3"):
+        assert main(["independence", "--config", str(path), "--groups", groups,
+                     "--epsilons", "0.2", "--separation", "0.1"]) == 0
+        printed[groups] = capsys.readouterr().out.split("|probe|=")[1].split()[0]
+    assert printed["1,2;3"] != printed["1;2;3"]
 
 
 def test_independence_assert_fails_on_warned_rows(capsys):

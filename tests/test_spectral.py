@@ -1,6 +1,8 @@
 """Spectral layer: grid/model validation, kernels, the star product, and
 the limiting truncated coefficient."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from lowdensity import (
     ShellAmplitude,
     ShellKernel,
     TestFunction,
-    amplitude_pair,
     free_moment,
     limit_truncated_coefficient,
     limit_truncated_smeared,
@@ -70,37 +71,38 @@ def test_rank_one_kernel_entries():
     model = random_model(rng, bins=6)
     kern = rank_one_kernel(model, "a", "b")
     va, vb = model.amplitude("a"), model.amplitude("b")
-    assert kern.matrix[2, 4] == pytest.approx(va[2] * np.conj(vb[4]))
+    assert kern.entries(np.array([2]), np.array([4]))[0] == pytest.approx(va[2] * np.conj(vb[4]))
     assert np.allclose(kern.diagonal(), va * np.conj(vb))
 
 
-def test_amplitude_pair_entries_are_rank_one_kernel_entries():
-    # the chain coefficient reads these instead of the M x M matrix; values
-    # must be bit-identical, not merely close
-    rng = np.random.default_rng(17)
-    model = random_model(rng, bins=37, names=("a", "b"))
-    rows, cols = rng.integers(0, 37, size=(2, 200))
-    for f, g in (("a", "b"), ("b", "a"), ("a", "a")):
-        got = amplitude_pair(model, f, g).entries(rows, cols)
-        want = rank_one_kernel(model, f, g).entries(rows, cols)
-        assert np.array_equal(got, want)
-    kerns = [rank_one_kernel(model, "a", "b"), rank_one_kernel(model, "b", "a"), rank_one_kernel(model, "a", "a")]
-    pairs = [amplitude_pair(model, "a", "b"), amplitude_pair(model, "b", "a"), amplitude_pair(model, "a", "a")]
-    freqs = [FrequencyIndex(2), FrequencyIndex(-3), FrequencyIndex(1)]
-    assert limit_truncated_coefficient(model, pairs, freqs) == limit_truncated_coefficient(model, kerns, freqs)
+def test_shell_kernel_rejects_malformed_vectors():
+    grid = EnergyGrid(e_max=2.0, bins=5)
+    good = np.ones(5, dtype=complex)
+    for bad in (np.ones(4, dtype=complex), np.ones((5, 5), dtype=complex), np.ones(5)):
+        with pytest.raises(ValueError):
+            ShellKernel(grid, bad, good)
+        with pytest.raises(ValueError):
+            ShellKernel(grid, good, bad)
+
+
+def _dense(kern):
+    """The kernel as an M x M matrix, for comparison only."""
+    m = kern.grid.bins
+    rows, cols = np.divmod(np.arange(m * m), m)
+    return kern.entries(rows, cols).reshape(m, m)
 
 
 def test_star_product_hand_value_and_associativity():
     rng = np.random.default_rng(11)
     grid = EnergyGrid(e_max=2.0, bins=5)
-    mats = [rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)) for _ in range(3)]
-    t, u, v = (ShellKernel(grid, m) for m in mats)
-    tu = star_product(t, u)
-    assert tu.matrix[1, 3] == pytest.approx(TWO_PI * mats[0][1, 1] * mats[1][1, 3])
-    left = star_product(star_product(t, u), v).matrix
-    right = star_product(t, star_product(u, v)).matrix
+    vecs = [rng.normal(size=5) + 1j * rng.normal(size=5) for _ in range(6)]
+    t, u, v = (ShellKernel(grid, vecs[2 * i], vecs[2 * i + 1]) for i in range(3))
+    tu = _dense(star_product(t, u))
+    assert tu[1, 3] == pytest.approx(TWO_PI * _dense(t)[1, 1] * _dense(u)[1, 3])
+    left = _dense(star_product(star_product(t, u), v))
+    right = _dense(star_product(t, star_product(u, v)))
     assert np.allclose(left, right, atol=1e-12 * np.max(np.abs(left)))
-    other = ShellKernel(EnergyGrid(e_max=2.0, bins=6), np.eye(6))
+    other = ShellKernel(EnergyGrid(e_max=2.0, bins=6), np.ones(6, dtype=complex), np.ones(6, dtype=complex))
     with pytest.raises(ValueError):
         star_product(t, other)
 
@@ -172,14 +174,18 @@ def test_limit_coefficient_cyclic_under_rotation_with_flat_density(rng):
 
 
 def test_limit_coefficient_bilinear_in_each_slot(rng):
-    model = random_model(rng, bins=10, names=("a", "b", "c"))
+    base = random_model(rng, bins=10, names=("a", "b", "c"))
+    alpha, beta = 0.7 - 0.2j, 1.3 + 0.5j
+    # |m><b| = alpha |a><b| + beta |c><b| for the model vector m = alpha a + beta c
+    vectors = dict(base.vectors)
+    vectors["m"] = ShellAmplitude("m", alpha * base.amplitude("a") + beta * base.amplitude("c"))
+    model = make_model(base.grid, base.density, vectors)
     kerns = [rank_one_kernel(model, "a", "b"), rank_one_kernel(model, "b", "c")]
     freqs = [FrequencyIndex(1), FrequencyIndex(-1)]
-    alpha, beta = 0.7 - 0.2j, 1.3 + 0.5j
-    mixed = ShellKernel(model.grid, alpha * kerns[0].matrix + beta * rank_one_kernel(model, "c", "a").matrix)
+    mixed = rank_one_kernel(model, "m", "b")
     lhs = limit_truncated_coefficient(model, [mixed, kerns[1]], freqs).value
     rhs = alpha * limit_truncated_coefficient(model, kerns, freqs).value + beta * limit_truncated_coefficient(
-        model, [rank_one_kernel(model, "c", "a"), kerns[1]], freqs
+        model, [rank_one_kernel(model, "c", "b"), kerns[1]], freqs
     ).value
     assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
 
@@ -208,3 +214,17 @@ def test_free_moment_rejects_nonzero_frequency():
     sym = NumberSymbol.make("a", "b", 1, TestFunction.gaussian())
     with pytest.raises(ValueError):
         free_moment(model, [sym])
+
+
+def test_free_moment_builds_no_dense_kernel():
+    # rank-one star products keep the traced peak at a few M-vectors; the
+    # dense M x M kernels peaked at 805 MB here
+    model = gaussian_shell_model(bins=4096)
+    symbols = [NumberSymbol.make(f, g, 0, TestFunction.gaussian()) for f, g in (("a", "b"), ("b", "a"), ("a", "a"))]
+    tracemalloc.start()
+    try:
+        free_moment(model, symbols)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6

@@ -3,13 +3,14 @@ independence probe."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     cumulants_from_moments_oracle,
     gaussian_shell_model,
     independence_probe_oracle,
+    symbol_centred_probe,
     moments_from_cumulants_oracle,
     random_model,
     random_symbols,
@@ -35,6 +36,7 @@ from lowdensity import (
     truncated_from_full,
     truncated_smeared,
 )
+from lowdensity.finite_eps import _PairingFactors
 from lowdensity.partitions import MAX_ENUM_PARTITION
 from lowdensity.spectral import TWO_PI, EnergyGrid
 from lowdensity.partitions import _subsets
@@ -263,10 +265,10 @@ def test_independence_probe_decays_for_separated_groups():
     assert abs(report.rows[1].value) < abs(control.rows[1].value)
 
 
-@pytest.mark.parametrize("sizes", [(1, 1), (1, 1, 1), (2, 1)])
+@pytest.mark.parametrize("sizes", [(1, 1), (1, 1, 1), (2, 1), (1, 2), (2, 2)])
 def test_independence_probe_matches_per_subset_oracle(rng, sizes):
-    # the probe slices one set of pairing factors to every subset; the
-    # oracle builds each subset's factors from its own symbols
+    # the probe slices one set of pairing factors to every group union; the
+    # oracle builds each union's factors from its own symbols
     names = ("a", "b", "c")
     model = random_model(rng, bins=12, names=names)
     symbols = random_symbols(rng, sum(sizes), names=names, s_choices=(-1, 0, 1))
@@ -277,7 +279,24 @@ def test_independence_probe_matches_per_subset_oracle(rng, sizes):
     epsilons = (0.3, 0.15)
     report = independence_probe(model, groups, epsilons)
     for row, eps in zip(report.rows, epsilons):
-        assert abs(row.value - independence_probe_oracle(model, symbols, eps)) <= 1e-14
+        assert abs(row.value - independence_probe_oracle(model, groups, eps)) <= 1e-14
+
+
+@given(
+    n=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    bins=st.integers(4, 16),
+    eps=st.floats(0.1, 0.5),
+)
+@settings(max_examples=25)
+def test_singleton_groups_equal_symbol_form(n, seed, bins, eps):
+    rng = np.random.default_rng(seed)
+    names = ("a", "b", "c")
+    model = random_model(rng, bins=bins, names=names)
+    symbols = random_symbols(rng, n, names=names, s_choices=(-1, 0, 1))
+    got = independence_probe(model, [[s] for s in symbols], (eps,)).rows[0].value
+    want = symbol_centred_probe(_PairingFactors(model, symbols, eps).full_family(), n)
+    assert got == want
 
 
 def test_independence_rows_carry_resolution_warnings():

@@ -3,8 +3,9 @@ canonicalization, normal ordering, and vacuum expectations."""
 
 import itertools
 
+import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import BELL_VALUES, anti_normal_order, commutator_expr, random_model, rgs_partitions, vacuum_expectation_oracle
@@ -318,16 +319,27 @@ def test_pruned_vacuum_expectation_matches_full_ordering(labels, include_scalar)
     assert got.terms == vacuum_expectation_oracle(labels, include_scalar=include_scalar).terms
 
 
-def test_evaluate_connected_matches_limit_coefficient(rng):
-    model = random_model(rng, bins=10, names=("a", "b"))
-    for k in (2, 3, 4):
-        labels = [("a", "b"), ("b", "a"), ("a", "a"), ("b", "b")][:k]
-        vac = vacuum_expectation(labels, include_scalar=False)
-        value = evaluate_symbolic(vac, model).connected
-        kerns = [rank_one_kernel(model, f, g) for f, g in labels]
-        coeff = limit_truncated_coefficient(model, kerns, [FrequencyIndex(0)] * k)
-        want = TWO_PI ** (k - 1) * coeff.value
-        assert value == pytest.approx(want, abs=1e-10 * max(1.0, abs(want)))
+@given(
+    labels=st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from("abc")), min_size=1, max_size=6),
+    include_scalar=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    bins=st.integers(4, 12),
+)
+@example(labels=K6_LABELS, include_scalar=True, seed=0, bins=10)
+@example(labels=K6_LABELS, include_scalar=False, seed=0, bins=10)
+@settings(max_examples=40)
+def test_evaluate_connected_matches_limit_coefficient(labels, include_scalar, seed, bins):
+    model = random_model(np.random.default_rng(seed), bins=bins, names=("a", "b", "c"))
+    k = len(labels)
+    vac = vacuum_expectation(labels, include_scalar=include_scalar)
+    value = evaluate_symbolic(vac, model).connected
+    kerns = [rank_one_kernel(model, f, g) for f, g in labels]
+    coeff = limit_truncated_coefficient(model, kerns, [FrequencyIndex(0)] * k)
+    want = TWO_PI ** (k - 1) * coeff.value
+    if k == 1 and not include_scalar:
+        # a lone symbol's vacuum value is all scalar part: <g, n f>
+        want = 0j
+    assert value == pytest.approx(want, abs=1e-10 * max(1.0, abs(want)))
 
 
 def test_evaluate_partition_table_factorizes(rng):
