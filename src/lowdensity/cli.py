@@ -74,6 +74,15 @@ def _meta(args, command: str, **extra) -> dict:
     return meta
 
 
+def _assert_unwarned(report: ConvergenceReport) -> None:
+    """Fail on any warned row: its premise fails (separation) or its value is
+    not trusted (grid width, Nyquist), so its decay proves nothing."""
+    warned = [row for row in report.rows if row.warnings]
+    if warned:
+        raise AssertionFailed(f"{len(warned)} of {len(report.rows)} rows carry warnings, "
+                              f"first at eps={warned[0].epsilon:g}: {warned[0].warnings[0]}")
+
+
 def cmd_limit(args) -> int:
     cfg, model = _load(args)
     symbols = symbols_from_config(cfg, model)
@@ -108,6 +117,7 @@ def cmd_sweep(args) -> int:
     print(f"limit = {report.rows[0].limit:.12g}")
     _emit(args, report, _meta(args, "sweep", **report.metadata))
     if args.do_assert:
+        _assert_unwarned(report)
         errs = [row.rel_err for row in report.rows]
         if any(e2 >= e1 for e1, e2 in zip(errs, errs[1:])):
             raise AssertionFailed(f"relative errors are not strictly decreasing: {errs}")
@@ -224,12 +234,7 @@ def cmd_independence(args) -> int:
         print(f"eps={row.epsilon:<8g} |probe|={abs(row.value):.6e}{warn}")
     _emit(args, report, _meta(args, "independence", **report.metadata))
     if args.do_assert:
-        # a warned row means the probe's premise fails (separation) or its
-        # value is not trusted (grid width, Nyquist): its decay proves nothing
-        warned = [row for row in report.rows if row.warnings]
-        if warned:
-            raise AssertionFailed(f"{len(warned)} of {len(report.rows)} rows carry warnings, "
-                                  f"first at eps={warned[0].epsilon:g}: {warned[0].warnings[0]}")
+        _assert_unwarned(report)
         first, last = abs(report.rows[0].value), abs(report.rows[-1].value)
         if last > first:
             raise AssertionFailed(f"probe magnitude grew from {first:.3e} to {last:.3e}")
@@ -286,6 +291,8 @@ def cmd_wn_expect(args) -> int:
     kernels = [rank_one_kernel(model, f, g) for f, g in labels]
     coeff = limit_truncated_coefficient(model, kernels, [FrequencyIndex(0)] * k)
     expected = TWO_PI ** (k - 1) * coeff.value
+    if k == 1 and args.connected_only:
+        expected = 0j  # a lone symbol's vacuum value is all scalar part, here dropped
     print(f"chain coefficient check: engine={evaluated.connected:.10g}  spectral={expected:.10g}")
     _emit(args, rows, _meta(args, "wn-expect", k=k, labels=["{}:{}".format(*l) for l in labels],
                             connected_only=args.connected_only))

@@ -23,28 +23,39 @@ within any product each delta graph stays a forest, so a term's delta
 structure is canonically the induced partition of its variables.
 
 Normal order puts creators left, gauge middle, annihilators right
-(`normal_order`).  A vacuum expectation does not normal-order: it applies
-the symbols to Omega right to left and keeps states sum c B+ ... B+ Omega.
-B- and NG annihilate Omega, so on such a state they act only through their
-commutator with one creator, which the relations above close: [NG, B+]
-relabels the creator, [B-, B+] removes it and leaves a scalar.  Each slot
-joins a block (one time and one energy delta class); a block opens at its
-last slot and closes at its first, and <Omega| keeps the states with no
-creator left.  Each smeared number symbol
-expands as N_{f,g}(t) = integral dE [ NG_{f,g} + B-_{g,f} + B+_{f,g} ](E,t)
-plus, by default, the scalar gamma_{f,g} = integral dE ipn(g,f,E); without
-the scalar the engine reproduces truncated correlations only.
+(`normal_order`).  Each smeared number symbol expands as
+N_{f,g}(t) = integral dE [ NG_{f,g} + B-_{g,f} + B+_{f,g} ](E,t) plus, by
+default, the scalar gamma_{f,g} = integral dE ipn(g,f,E).
+
+A vacuum expectation of k symbols is a sum over the set partitions of the
+slots 1..k, one term of numeric 1 each (`vacuum_expectation`).  Read right
+to left on Omega, B- and NG annihilate Omega, so they act on a state
+B+ ... B+ Omega only through their commutator with one creator: [NG, B+]
+relabels it and [B-, B+] removes it, each with numeric 1, one 2 pi and
+deltas joining the two slots.  So a block b_1 < ... < b_m of slots is
+opened by B+ at b_m, relabelled by NG at each interior slot and closed by
+B- at b_1, and it contributes the chain
+
+    2pi^(m-1) ip(g_{b_1},f_{b_2}) ... ip(g_{b_(m-1)},f_{b_m}) ipn(g_{b_m},f_{b_1})
+
+on one energy; a singleton block is the scalar part.  Every partition is
+reached by exactly one choice per slot and one join order, and distinct
+partitions have distinct time deltas, so no two terms merge.  Without the
+scalar part only partitions with no singleton block remain, the truncated
+correlations.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import pi
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from .partitions import enumerate_set_partitions
 
 CREATE = "create"
 GAUGE = "gauge"
@@ -374,104 +385,50 @@ class VacuumExpectation:
         return tuple(t for t in self.terms if t.time_partition == (full,))
 
 
-def _atoms(c: Coefficient) -> tuple[tuple[str, str, str], ...]:
-    """The inner-product atoms of a coefficient without their energy
-    variable, as ("ip"|"ipn", a, b)."""
-    return tuple(("ip", a, b) for a, b, _ in c.ips) + tuple(("ipn", a, b) for a, b, _ in c.ipns)
-
-
-@lru_cache(maxsize=1024)  # keyed on labels only: a few vector names per call
-def _on_creator(kind: str, left: str, right: str, a: str, h: str):
-    """[X, B+_{a,h}] for a generator X that annihilates the vacuum, read from
-    `commutator`: (numeric, 2 pi power, atoms, labels of the creator it
-    leaves, or None when it leaves a scalar).  Both relations join X's slot
-    to the creator's time and energy, so the atoms sit on that block."""
-    (term,) = commutator(WnGenerator(kind, left, right, "E0", "t0"), creator(a, h, "E1", "t1")).terms
-    c = term.coeff
-    out = (term.factors[0].left, term.factors[0].right) if term.factors else None
-    return c.numeric, c.two_pi, _atoms(c), out
-
-
 def vacuum_expectation(labels: Sequence[tuple[str, str]], include_scalar: bool = True, trace=None) -> VacuumExpectation:
     """<Omega, N_{f_1,g_1}(t_1) ... N_{f_k,g_k}(t_k) Omega> symbolically.
 
-    One right-to-left pass over the slots acts on states sum c B+ ... B+ Omega.
-    At slot l the scalar choice adds a closed singleton block, B+ opens a
-    block, NG relabels one open creator through [NG, B+] and B- closes one
-    through [B-, B+]; both join l to the creator's block.  A state with more
-    open creators than slots left to its left is dropped, and equal states
-    merge.  A block is one time class and one energy class: its atoms form
-    one energy group.  With include_scalar the result reproduces full
-    correlation functions; without it, only the parts where every slot is
-    contracted into some chain.  A trace list receives one (branch, its
-    merged scalar terms) entry per expansion branch that contributes a term.
+    One term of numeric 1 per set partition of the slots: a block is one
+    time class and one energy class, and its chain atoms (module docstring)
+    form one energy group.  With include_scalar the result reproduces full
+    correlation functions; without it, only the partitions with no singleton
+    block, where every slot is contracted into some chain.  A trace list
+    receives one (branch, its scalar terms) entry per expansion branch that
+    reaches the vacuum, in branch order: a partition's branch takes the
+    scalar at a singleton, B- at a block's least slot, B+ at its largest and
+    NG in between.
     """
     labels = tuple((str(f), str(g)) for f, g in labels)
     k = len(labels)
     if not 1 <= k <= MAX_VACUUM_ORDER:
         raise ValueError(f"vacuum_expectation supports 1 <= k <= {MAX_VACUUM_ORDER} symbols")
-    choices = [number_symbol_expansion(l, f, g, include_scalar) for l, (f, g) in enumerate(labels, start=1)]
 
-    # key: (2 pi power, closed blocks (slots, atoms) by falling least slot,
-    # open creators (slots, left, right, atoms) by rising opening slot,
-    # branch choice indices when tracing); value: the numeric prefactor
-    states: dict[tuple, complex] = {(0, (), (), ()): 1}
-    steps = 0
-    for l in range(k, 0, -1):
-        room = l - 1  # creators the slots to the left can still close
-        parts = choices[l - 1]
-        scalar_atoms = [_atoms(part.coeff) for part in parts]
-        nxt: dict[tuple, complex] = {}
-        for (two_pi, closed, opened, branch), value in states.items():
-            for c, part in enumerate(parts):
-                # successors as (2 pi power added, closed, opened, numeric factor)
-                if not part.factors:
-                    pc = part.coeff
-                    succ = [(pc.two_pi, closed + (((l,), scalar_atoms[c]),), opened, pc.numeric)]
-                elif part.factors[0].kind == CREATE:
-                    gen = part.factors[0]
-                    succ = [(0, closed, (((l,), gen.left, gen.right, ()),) + opened, 1)]
-                else:
-                    gen = part.factors[0]
-                    succ = []
-                    for i, (slots, a, h, atoms) in enumerate(opened):
-                        numeric, dp, more, out = _on_creator(gen.kind, gen.left, gen.right, a, h)
-                        block, rest = (l,) + slots, opened[:i] + opened[i + 1 :]
-                        if out is None:
-                            succ.append((dp, closed + ((block, atoms + more),), rest, numeric))
-                        else:
-                            succ.append((dp, closed, rest[:i] + ((block, *out, atoms + more),) + rest[i:], numeric))
-                br = (c,) + branch if trace is not None else ()
-                for dp, closed_n, opened_n, numeric in succ:
-                    if len(opened_n) > room:
-                        continue
-                    steps += 1
-                    if steps > NORMAL_ORDER_STEP_CAP:
-                        raise RuntimeError(f"vacuum expectation exceeded {NORMAL_ORDER_STEP_CAP} state updates")
-                    key = (two_pi + dp, closed_n, opened_n, br)
-                    nxt[key] = nxt.get(key, 0) + value * numeric
-        states = nxt
+    @lru_cache(maxsize=None)  # a block recurs in many partitions
+    def block_atoms(block: tuple[int, ...]) -> tuple[tuple[str, str, str], ...]:
+        f, g = zip(*(labels[s - 1] for s in block))
+        return tuple(sorted([("ip", g[i], f[i + 1]) for i in range(len(block) - 1)] + [("ipn", g[-1], f[0])]))
 
-    # with a trace, states also differ by branch; the terms merge over it
-    merged: dict[tuple, complex] = {}
-    for (two_pi, closed, _, _), value in states.items():
-        merged[two_pi, closed] = merged.get((two_pi, closed), 0) + value
+    partitions = [p.blocks for p in enumerate_set_partitions(k) if include_scalar or min(map(len, p.blocks)) > 1]
     terms = sorted(
         (
             VacuumTerm(
-                numeric=value,
-                two_pi=two_pi,
-                time_partition=tuple(slots for slots, _ in reversed(closed)),
-                energy_groups=tuple(sorted(tuple(sorted(atoms)) for _, atoms in closed)),
+                numeric=1.0 + 0j,
+                two_pi=k - len(blocks),
+                time_partition=blocks,
+                energy_groups=tuple(sorted(map(block_atoms, blocks))),
             )
-            for (two_pi, closed), value in merged.items()
+            for blocks in partitions
         ),
         key=lambda t: (t.time_partition, t.energy_groups),
     )
     if trace is not None:
-        by_branch: dict[tuple, list[WnTerm]] = {}
-        for (two_pi, closed, _, branch), value in states.items():
-            by_branch.setdefault(branch, []).append(_scalar_term(value, two_pi, closed))
+        choices = [number_symbol_expansion(l, f, g, include_scalar) for l, (f, g) in enumerate(labels, start=1)]
+        by_branch: dict[tuple[int, ...], list[WnTerm]] = {}
+        for blocks in partitions:
+            branch = [0] * k  # indices into choices: NG 0, B- 1, B+ 2, scalar 3
+            for b in blocks:
+                branch[b[0] - 1], branch[b[-1] - 1] = (3, 3) if len(b) == 1 else (1, 2)
+            by_branch.setdefault(tuple(branch), []).append(_scalar_term(blocks, map(block_atoms, blocks)))
         for branch in sorted(by_branch):
             parts = [choices[l][c] for l, c in enumerate(branch)]
             coeff = Coefficient()
@@ -482,17 +439,17 @@ def vacuum_expectation(labels: Sequence[tuple[str, str]], include_scalar: bool =
     return VacuumExpectation(k=k, labels=labels, include_scalar=include_scalar, terms=tuple(terms))
 
 
-def _scalar_term(numeric: complex, two_pi: int, closed) -> WnTerm:
-    """A finished state as a generator-free WnTerm: each block one time and
+def _scalar_term(blocks, groups) -> WnTerm:
+    """A partition's term as a generator-free WnTerm: each block one time and
     one energy delta class, its atoms on the block's energy."""
     t_deltas, e_deltas, ips, ipns = [], [], [], []
-    for slots, atoms in closed:
+    for slots, atoms in zip(blocks, groups):
         head = slots[0]
         t_deltas += [(f"t{head}", f"t{s}") for s in slots[1:]]
         e_deltas += [(f"E{head}", f"E{s}") for s in slots[1:]]
         for kind, a, b in atoms:
             (ips if kind == "ip" else ipns).append((a, b, f"E{head}"))
-    return WnTerm(Coefficient(complex(numeric), two_pi, tuple(t_deltas), tuple(e_deltas), tuple(ips), tuple(ipns)))
+    return WnTerm(Coefficient(1.0 + 0j, len(t_deltas), tuple(t_deltas), tuple(e_deltas), tuple(ips), tuple(ipns)))
 
 
 @dataclass(frozen=True, eq=False)

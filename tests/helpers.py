@@ -286,23 +286,32 @@ def _vacuum_terms(k, merged):
     return tuple(out)
 
 
-def vacuum_expectation_oracle(labels, include_scalar=True):
-    """Vacuum expectation by normal ordering: normal-order every one of the
-    expansion branches in full, keep the generator-free terms, merge, and
-    integrate the energy deltas with union-find."""
-    labels = tuple((str(f), str(g)) for f, g in labels)
-    k = len(labels)
-    choices = [number_symbol_expansion(l, f, g, include_scalar) for l, (f, g) in enumerate(labels, start=1)]
-    collected = []
+def vacuum_trace_oracle(labels, include_scalar=True):
+    """The normal-ordering route: normal-order every one of the expansion
+    branches in full and keep its generator-free terms.  Returns one
+    (branch word, its scalar terms) entry per branch that has any, in
+    branch order."""
+    choices = [number_symbol_expansion(l, str(f), str(g), include_scalar) for l, (f, g) in enumerate(labels, start=1)]
+    route = []
     for combo in itertools.product(*choices):
         coeff = Coefficient()
         for part in combo:
             coeff = coeff * part.coeff
-        word = tuple(g for part in combo for g in part.factors)
-        ordered = normal_order(WnExpression((WnTerm(coeff, word),)))
-        collected.extend(t for t in ordered.terms if not t.factors)
-    merged = canonicalize(WnExpression(tuple(collected)))
-    return VacuumExpectation(k, labels, include_scalar, _vacuum_terms(k, merged))
+        word = WnTerm(coeff, tuple(g for part in combo for g in part.factors))
+        scalars = tuple(t for t in normal_order(WnExpression((word,))).terms if not t.factors)
+        if scalars:
+            route.append((word, WnExpression(scalars)))
+    return route
+
+
+def vacuum_expectation_oracle(labels, include_scalar=True):
+    """Vacuum expectation by normal ordering: the scalar terms of every
+    branch of `vacuum_trace_oracle`, merged, with the energy deltas
+    integrated by union-find."""
+    labels = tuple((str(f), str(g)) for f, g in labels)
+    collected = tuple(t for _, scalars in vacuum_trace_oracle(labels, include_scalar) for t in scalars.terms)
+    merged = canonicalize(WnExpression(collected))
+    return VacuumExpectation(len(labels), labels, include_scalar, _vacuum_terms(len(labels), merged))
 
 
 def is_irreducible_by_closure(diagram):

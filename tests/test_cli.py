@@ -31,6 +31,15 @@ def config_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def resolved_config_path(tmp_path):
+    # CONFIG on 320 bins: delta_e = 0.0125 meets the 8-bin rule down to eps = 0.1
+    cfg = dict(CONFIG, grid=dict(CONFIG["grid"], bins=320), density={"type": "table", "values": [1.0] * 160 + [0.5] * 160})
+    path = tmp_path / "resolved.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
 def test_limit_runs_with_builtin_default(capsys):
     assert main(["limit"]) == 0
     out = capsys.readouterr().out
@@ -52,19 +61,20 @@ def test_limit_gate_reports_exact_zero(tmp_path, capsys):
     assert "0" in capsys.readouterr().out
 
 
-def test_sweep_csv_table_and_sidecar(config_path, tmp_path, capsys):
+def test_sweep_csv_table_and_sidecar(resolved_config_path, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main([
-        "sweep", "--config", config_path, "--epsilons", "0.2,0.1",
+        "sweep", "--config", resolved_config_path, "--epsilons", "0.2,0.1",
         "--out", str(out), "--assert",
     ])
     assert code == 0
+    assert "[" not in capsys.readouterr().out  # no row carries a warning
     lines = out.read_text().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 3
     meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
     assert meta["command"] == "sweep"
-    assert meta["config"] == config_path
+    assert meta["config"] == resolved_config_path
     assert meta["epsilons"] == [0.2, 0.1]
     assert meta["version"] == "0.1.0"
 
@@ -95,10 +105,18 @@ def test_sweep_json_format(config_path, tmp_path):
     assert doc["rows"][0]["breakdown"]
 
 
-def test_sweep_assert_fails_on_reversed_epsilons(config_path, capsys):
-    code = main(["sweep", "--config", config_path, "--epsilons", "0.05,0.2", "--assert"])
+def test_sweep_assert_fails_on_reversed_epsilons(resolved_config_path, capsys):
+    code = main(["sweep", "--config", resolved_config_path, "--epsilons", "0.1,0.2", "--assert"])
     assert code == 2
-    assert "assertion failed" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "[" not in captured.out  # both rows resolved: the monotone clause fails
+    assert "relative errors are not strictly decreasing" in captured.err
+
+
+def test_sweep_assert_fails_on_warned_rows(capsys):
+    # the default grid (128 bins on [0, 4]) is too coarse for every default eps
+    assert main(["sweep", "--assert"]) == 2
+    assert "3 of 3 rows carry warnings" in capsys.readouterr().err
 
 
 def test_free_check_random_is_seed_deterministic(capsys):
@@ -258,6 +276,12 @@ def test_wn_expect_connected_only_and_order(capsys):
     assert main(["wn-expect", "--pairs", "a:b,b:a,a:a", "--order", "2", "--connected-only"]) == 0
     out = capsys.readouterr().out
     assert "connected" in out
+
+
+def test_wn_expect_lone_symbol_connected_only_assert(capsys):
+    # without its scalar part a lone symbol has vacuum value 0, and so must the check
+    assert main(["wn-expect", "--pairs", "a:b", "--connected-only", "--assert"]) == 0
+    assert "spectral=0+0j" in capsys.readouterr().out
 
 
 def test_wn_expect_show_steps(capsys):

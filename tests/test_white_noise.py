@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import BELL_VALUES, anti_normal_order, commutator_expr, random_model, rgs_partitions, vacuum_expectation_oracle
+from helpers import BELL_VALUES, anti_normal_order, commutator_expr, random_model, rgs_partitions, vacuum_expectation_oracle, vacuum_trace_oracle
 from lowdensity import (
     Coefficient,
     FrequencyIndex,
@@ -215,8 +215,6 @@ def test_step_cap_guard(monkeypatch):
     factors += [creator("x", "y", f"E{i}", f"t{i}") for i in range(4, 7)]
     with pytest.raises(RuntimeError):
         normal_order(word(*factors))
-    with pytest.raises(RuntimeError):
-        vacuum_expectation([("u", "v")] * 4)
 
 
 def test_number_symbol_expansion_choices():
@@ -300,6 +298,19 @@ def test_trace_records_every_branch():
     assert len(dropped) == 14
     for branch in dropped:
         assert all(t.factors for t in normal_order(WnExpression((branch,))).terms)
+
+
+@given(
+    labels=st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from("abc")), min_size=1, max_size=4),
+    include_scalar=st.booleans(),
+)
+@settings(max_examples=40)
+def test_trace_matches_normal_ordering_route(labels, include_scalar):
+    trace = []
+    vacuum_expectation(labels, include_scalar=include_scalar, trace=trace)
+    route = vacuum_trace_oracle(labels, include_scalar=include_scalar)
+    assert [before for before, _ in trace] == [before for before, _ in route]
+    assert [(str(before), str(after)) for before, after in trace] == [(str(before), str(after)) for before, after in route]
 
 
 K5_LABELS = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "a"), ("b", "c")]
