@@ -2,8 +2,10 @@
 approach its limiting value.
 
 The model is a two-shell reference: a Gaussian bump and a displaced copy on a
-256-bin grid. At each epsilon the exact lattice sum is compared against the
-closed-form limit; the error should drop roughly linearly in epsilon.
+1280-bin grid, which resolves every Fourier factor down to epsilon = 0.025
+(8 bins per eps/sigma_t). At each epsilon the exact lattice sum is compared
+against the closed-form limit; the error should drop roughly linearly in
+epsilon. A row the grid does not resolve is printed with its warnings.
 """
 
 import numpy as np
@@ -12,13 +14,14 @@ from lowdensity import (
     NumberSymbol,
     TestFunction,
     limit_truncated_smeared,
-    truncated_smeared,
     make_model,
+    resolution_warnings,
+    truncated_smeared,
 )
 from lowdensity.spectral import DensityProfile, EnergyGrid, ShellAmplitude
 
 
-def reference_model(bins=256, e_max=4.0):
+def reference_model(bins=1280, e_max=4.0):
     grid = EnergyGrid(e_max=e_max, bins=bins)
     e = grid.centers
     a = np.exp(-((e - 1.2) ** 2) / (2 * 0.35**2)).astype(complex)
@@ -39,3 +42,5 @@ if __name__ == "__main__":
         value = truncated_smeared(model, symbols, eps)
         rel = abs(value - limit) / abs(limit)
         print(f"{eps:>8}  {value:>24.10f}  {rel:>10.4e}")
+        for note in resolution_warnings(model, symbols, eps):
+            print(f"{'':>8}  warning: {note}")

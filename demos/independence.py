@@ -24,6 +24,5 @@ if __name__ == "__main__":
     print(f"{'epsilon':>8}  {'separated':>12}  {'co-located':>12}")
     for sep, col in zip(separated.rows, control.rows):
         print(f"{sep.epsilon:>8}  {abs(sep.value):>12.4e}  {abs(col.value):>12.4e}")
-    notes = control.rows[0].warnings + separated.rows[0].warnings
-    if notes:
-        print("\nwarnings:", *notes, sep="\n  ")
+        for note in sep.warnings + col.warnings:
+            print(f"{'':>8}  warning: {note}")

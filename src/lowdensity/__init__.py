@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .partitions import (
     DiagramClass,
     PairDiagram,
-    SetPartition,
     bell,
     classify,
     enumerate_pair_diagrams,

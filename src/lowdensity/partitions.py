@@ -1,5 +1,10 @@
 """Set partitions, pairing diagrams and the first-block transform.
 
+A set partition of {1..n} is a plain tuple of blocks, each block an
+increasing tuple, blocks ordered by their least element.  The listing can
+leave out every partition with a one-element block, the ones a truncated
+(connected) vacuum value never reaches, without opening them.
+
 A pairing diagram on n number symbols assigns to each creator slot l the
 annihilator slot sigma(l) it is contracted with; sigma runs over all of S_n.
 The diagram is irreducible exactly when sigma is a single n-cycle, and the
@@ -53,45 +58,6 @@ def touchard(n: int, lam: float) -> float:
     return float(sum(stirling2(n, k) * lam**k for k in range(1, n + 1)))
 
 
-@dataclass(frozen=True)
-class SetPartition:
-    """Partition of {1..n} into blocks, each block increasing, blocks ordered
-    by their smallest element."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_blocks(cls, blocks) -> "SetPartition":
-        canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-        part = cls(canon)
-        part.validate()
-        return part
-
-    def validate(self) -> None:
-        seen: set[int] = set()
-        for block in self.blocks:
-            if not block:
-                raise ValueError("empty block")
-            if list(block) != sorted(set(block)):
-                raise ValueError("block not strictly increasing")
-            if seen & set(block):
-                raise ValueError("blocks overlap")
-            seen.update(block)
-        mins = [b[0] for b in self.blocks]
-        if mins != sorted(mins):
-            raise ValueError("blocks not ordered by least element")
-        n = len(seen)
-        if seen != set(range(1, n + 1)):
-            raise ValueError("blocks do not cover {1..n}")
-
-    @property
-    def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-
 def _subsets(n: int):
     for size in range(1, n + 1):
         yield from itertools.combinations(range(1, n + 1), size)
@@ -133,29 +99,38 @@ def _first_block_transform(arity: int, values: dict, inverse: bool) -> dict:
     return {s: solved[mask] for s, mask in keys.items()}
 
 
-def enumerate_set_partitions(n: int) -> list[SetPartition]:
-    """All partitions of {1..n}; len(result) == bell(n).
+def enumerate_set_partitions(n: int, singletons: bool = True) -> list[tuple[tuple[int, ...], ...]]:
+    """All partitions of {1..n} as tuples of blocks, each block increasing,
+    blocks ordered by their least element; len(result) == bell(n).
+
+    Without singletons, only the partitions with no one-element block, in
+    the same order: a branch ends as soon as its one-element blocks
+    outnumber the elements still left to join them.
 
     >>> [len(p) for p in enumerate_set_partitions(3)]
     [1, 2, 2, 2, 3]
+    >>> enumerate_set_partitions(4, singletons=False)
+    [((1, 2, 3, 4),), ((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))]
     """
     if not 1 <= n <= MAX_ENUM_PARTITION:
         raise ValueError(f"enumerate_set_partitions supports 1 <= n <= {MAX_ENUM_PARTITION}")
-    out: list[SetPartition] = []
+    out: list[tuple[tuple[int, ...], ...]] = []
 
-    def extend(element: int, blocks: list[list[int]]) -> None:
+    def extend(element: int, blocks: list[list[int]], lone: int) -> None:
+        if not singletons and lone > n - element + 1:
+            return
         if element > n:
-            out.append(SetPartition(tuple(tuple(b) for b in blocks)))
+            out.append(tuple(map(tuple, blocks)))
             return
         for b in blocks:
             b.append(element)
-            extend(element + 1, blocks)
+            extend(element + 1, blocks, lone - (len(b) == 2))  # b was one-element before
             b.pop()
         blocks.append([element])
-        extend(element + 1, blocks)
+        extend(element + 1, blocks, lone + 1)
         blocks.pop()
 
-    extend(1, [])
+    extend(1, [], 0)
     return out
 
 

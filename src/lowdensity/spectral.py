@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from math import pi, sqrt
 from typing import Callable, Mapping
 
@@ -190,7 +191,7 @@ class ShellKernel:
     def diagonal(self) -> np.ndarray:
         return self.left * self.right_conj
 
-    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    def entries(self, rows: np.ndarray | slice, cols: np.ndarray | slice) -> np.ndarray:
         return self.left[rows] * self.right_conj[cols]
 
 
@@ -259,22 +260,20 @@ def limit_truncated_coefficient(model: SpectralModel, kernels, freqs) -> LimitCo
     for k in kernels:
         if k.grid != model.grid:
             raise ValueError("kernel grid does not match model grid")
-    shifts = np.cumsum([f.s for f in freqs][::-1])[::-1]  # shifts[l-1] = s_l + ... + s_n
+    # shifts[l-1] = s_l + ... + s_n, and shifts[n] = 0 for the last column
+    shifts = list(accumulate(f.s for f in reversed(freqs)))[::-1] + [0]
     if shifts[0] != 0:
         return LimitCoefficient(0j, n - 1, omega_gate_passed=False)
 
-    m = model.grid.bins
-    a = np.arange(m)
-    ok = np.ones(m, dtype=bool)
-    for w in shifts:
-        ok &= (a + w >= 0) & (a + w < m)
-    a = a[ok]
-    acc = model.density.values[a].astype(complex)
+    # the bins a whose every read a + w stays on the grid form one run lo <= a < hi
+    lo = -min(shifts)
+    hi = max(lo, model.grid.bins - max(shifts))
+    acc = model.density.values[lo:hi].astype(complex)
     for l in range(n):
-        row = a + shifts[l]
-        col = a + (shifts[l + 1] if l + 1 < n else 0)
-        acc = acc * kernels[l].entries(row, col)
-    value = complex(np.sum(acc) * model.grid.delta_e)
+        rows = slice(lo + shifts[l], hi + shifts[l])
+        cols = slice(lo + shifts[l + 1], hi + shifts[l + 1])
+        acc = acc * kernels[l].entries(rows, cols)
+    value = complex(acc.sum() * model.grid.delta_e)
     return LimitCoefficient(value, n - 1, omega_gate_passed=True)
 
 

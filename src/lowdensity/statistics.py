@@ -30,6 +30,7 @@ from .spectral import (
     ShellKernel,
     SpectralModel,
     TWO_PI,
+    limit_truncated_coefficient,
     make_model,
     radial_to_shell,
     rank_one_kernel,
@@ -91,17 +92,18 @@ def moments_from_cumulants(family: CorrelationFamily) -> CorrelationFamily:
 
 def limit_cumulant(model: SpectralModel, kernel: ShellKernel, omega: FrequencyIndex, phi: TestFunction, order: int) -> complex:
     """Limiting cumulant of one smeared oscillating symbol at the given order:
+    the limiting truncated correlation of the symbol repeated order times,
 
-    kappa_l = delta_{omega,0} (2 pi)^(l-1) [integral phi^l]
-              sum_a delta_e n(E_a) K(E_a, E_a)^l
+    kappa_l = (2 pi)^(l-1) [integral phi^l] C(K, ..., K; omega, ..., omega),
+
+    with C the chain coefficient of limit_truncated_coefficient.  Its gate
+    passes only at omega = 0, where C = sum_a delta_e n(E_a) K(E_a, E_a)^l;
+    otherwise the cumulant is exactly 0.
     """
     if order < 1:
         raise ValueError("cumulant order must be >= 1")
-    if not omega.is_zero:
-        return 0j
-    diag = kernel.diagonal() ** order
-    shell_sum = np.sum(model.density.values * diag) * model.grid.delta_e
-    return complex(TWO_PI ** (order - 1) * product_integral([phi] * order) * shell_sum)
+    chain = limit_truncated_coefficient(model, [kernel] * order, [omega] * order).value
+    return complex(TWO_PI ** (order - 1) * product_integral([phi] * order) * chain)
 
 
 def reference_box(height: float = 1.0 / TWO_PI, width: float = TWO_PI) -> TestFunction:

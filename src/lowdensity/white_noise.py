@@ -42,7 +42,7 @@ on one energy; a singleton block is the scalar part.  Every partition is
 reached by exactly one choice per slot and one join order, and distinct
 partitions have distinct time deltas, so no two terms merge.  Without the
 scalar part only partitions with no singleton block remain, the truncated
-correlations.
+correlations, and the listing opens no other.
 """
 
 from __future__ import annotations
@@ -392,7 +392,8 @@ def vacuum_expectation(labels: Sequence[tuple[str, str]], include_scalar: bool =
     time class and one energy class, and its chain atoms (module docstring)
     form one energy group.  With include_scalar the result reproduces full
     correlation functions; without it, only the partitions with no singleton
-    block, where every slot is contracted into some chain.  A trace list
+    block, where every slot is contracted into some chain, and the listing
+    opens no singleton block at all.  A trace list
     receives one (branch, its scalar terms) entry per expansion branch that
     reaches the vacuum, in branch order: a partition's branch takes the
     scalar at a singleton, B- at a block's least slot, B+ at its largest and
@@ -408,7 +409,7 @@ def vacuum_expectation(labels: Sequence[tuple[str, str]], include_scalar: bool =
         f, g = zip(*(labels[s - 1] for s in block))
         return tuple(sorted([("ip", g[i], f[i + 1]) for i in range(len(block) - 1)] + [("ipn", g[-1], f[0])]))
 
-    partitions = [p.blocks for p in enumerate_set_partitions(k) if include_scalar or min(map(len, p.blocks)) > 1]
+    partitions = enumerate_set_partitions(k, singletons=include_scalar)
     terms = sorted(
         (
             VacuumTerm(

@@ -305,6 +305,15 @@ def test_bell_assert(capsys):
     assert "203" in out
 
 
+def test_bell_assert_catches_a_wrong_stirling_number(monkeypatch, capsys):
+    from lowdensity import partitions
+
+    stirling2 = partitions.stirling2
+    monkeypatch.setattr(partitions, "stirling2", lambda n, k: stirling2(n, k) + ((n, k) == (4, 2)))
+    assert main(["bell", "--n", "6", "--assert"]) == 2
+    assert "bell=16" in capsys.readouterr().out
+
+
 def test_delta_lemma_assert():
     assert main(["delta-lemma", "--sigma-t", "1.0", "--sigma-x", "1.0", "--epsilons", "0.1,0.05,0.02", "--assert"]) == 0
 

@@ -8,7 +8,6 @@ import pytest
 from helpers import BELL_VALUES, is_irreducible_by_closure, rgs_partitions
 from lowdensity import (
     PairDiagram,
-    SetPartition,
     bell,
     classify,
     enumerate_pair_diagrams,
@@ -58,9 +57,8 @@ def test_touchard_probabilistic_oracle():
 
 def test_enumerate_set_partitions_against_growth_strings():
     for n in range(1, 8):
-        ours = {p.blocks for p in enumerate_set_partitions(n)}
-        reference = set(rgs_partitions(n))
-        assert ours == reference
+        # the same blocks in the same order: growth strings in lexicographic order
+        assert enumerate_set_partitions(n) == rgs_partitions(n)
         assert len(enumerate_set_partitions(n)) == bell(n)
 
 
@@ -71,19 +69,13 @@ def test_enumerate_set_partitions_caps():
         enumerate_set_partitions(MAX_ENUM_PARTITION + 1)
 
 
-def test_set_partition_validation():
-    SetPartition(((1, 3), (2,))).validate()
-    assert SetPartition.from_blocks([[3, 1], [2]]).blocks == ((1, 3), (2,))
-    with pytest.raises(ValueError):
-        SetPartition(((2,), (1, 3))).validate()  # not ordered by least element
-    with pytest.raises(ValueError):
-        SetPartition(((1, 1),)).validate()  # repeated element
-    with pytest.raises(ValueError):
-        SetPartition.from_blocks([[1], [3]])  # gap
-    with pytest.raises(ValueError):
-        SetPartition(((3, 1),)).validate()  # block not increasing
-    with pytest.raises(ValueError):
-        SetPartition(((1, 2), (2, 3))).validate()  # overlap
+def test_singleton_free_listing_is_the_filtered_full_listing():
+    counts = []
+    for n in range(1, 10):
+        kept = [p for p in enumerate_set_partitions(n) if min(map(len, p)) > 1]
+        assert enumerate_set_partitions(n, singletons=False) == kept
+        counts.append(len(kept))
+    assert counts == [0, 1, 1, 4, 11, 41, 162, 715, 3425]
 
 
 def test_pair_diagram_basics():

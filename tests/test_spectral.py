@@ -134,6 +134,10 @@ def test_limit_coefficient_gate_is_exact():
     assert coeff.value == 0j and not coeff.omega_gate_passed
     balanced = limit_truncated_coefficient(model, kerns, [FrequencyIndex(3), FrequencyIndex(-3)])
     assert balanced.omega_gate_passed
+    # a shift wider than the grid leaves no bin whose every read is on it
+    for s in (16, -20):
+        off = limit_truncated_coefficient(model, kerns, [FrequencyIndex(s), FrequencyIndex(-s)])
+        assert off.value == 0j and off.omega_gate_passed
 
 
 def test_limit_coefficient_against_direct_loop(rng):
