@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, isfinite
 
 import numpy as np
 
@@ -45,6 +45,8 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("expected at least one number")
+    if not all(isfinite(x) for x in values):
+        raise argparse.ArgumentTypeError(f"expected finite numbers, got {text!r}")
     return values
 
 

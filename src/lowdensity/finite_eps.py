@@ -17,27 +17,48 @@ trace per cycle, trace(D_1 T_1 ... D_r T_r) with diagonal kernels D_i and
 Fourier factors T_i[a, b] = ft((E_b - E_a - omega)/eps); a brute-force
 nested sum would cost M^n.  On the uniform grid T_i depends only on the lag
 b - a, so each target slot needs one lag vector of 2M - 1 Fourier points,
-and the M x M factors are zero-copy Toeplitz views of it.  A 2-cycle is one
-O(M^2) Hadamard sum; an r-cycle takes r - 2 Toeplitz products by FFT on a
-circulant embedding (Golub & Van Loan, Matrix Computations, 4.7), then a
-Hadamard sum with its last link.  The FFTs are numpy's pocketfft on the
-smallest 11-smooth length >= 2M - 1; scipy is imported only by the
+and the M x M factors are zero-copy Toeplitz views of it.
+
+Each lag vector is cut to its support: the smallest lag range whose
+dropped head and tail each hold at most BAND_CUT/2 = 2^-61 of sum |t|.  For
+Gaussian phi that is about 9 eps/(sigma delta_e) lags either side of
+omega/delta_e, a band of fixed width on a grid resolved at eps; the sinc of
+an indicator phi decays like 1/xi and keeps every lag.  A cycle runs over
+blocks of _ROW_BLOCK rows, and each block works only on column windows:
+the first link's window is the block's rows shifted by its support, and
+each later window is what the previous one reaches through its link,
+clipped to the grid and to the columns the remaining links can still carry
+back onto the block's rows.  A 2-cycle is one Hadamard sum over its
+window; an r-cycle takes r - 2 Toeplitz products by FFT on a circulant
+embedding (Golub & Van Loan, Matrix Computations, 4.7), each on the
+smallest 11-smooth length that keeps its kept outputs free of circular
+wrap, then a Hadamard sum with its last link.  A product costs about
+M L log L for an FFT length L of about _ROW_BLOCK + 2w at support width w:
+linear in M at fixed w, where the unbanded L is 2M.  A support spanning the
+whole lag range gives whole-grid windows and the 2M - 1 point circulant,
+the unbanded contraction operation for operation.
+
+The cut moves an r-cycle value by at most
+r 2^-60 M delta_e^r prod_i max|kern_i| prod_i sum|t_i|: the same norm bound
+the FFT products' own rounding meets with a few 2^-53 log2(length) in place
+of r 2^-60, so the cut loses no more than the rounding and needs no
+diagnostic.  The FFTs are numpy's pocketfft; scipy is imported only by the
 adaptive quadrature of delta_lemma_check.
 
-Every smeared sum takes one path.  Lag vectors, their FFTs, kernel vectors
-and resolution warnings are built once per (model, symbols, eps), and a
-slot subset reads them under its own slot numbers.  The truncated value of
-a slot set is the sum of its single-cycle diagrams; a diagram is the
-product of its cycles, so the first-block transform of the truncated values
-of all subsets gives the full ones.  The tests pin the contraction against
-an independent nested-sum oracle and the dense matrix chain, and the full
-value against the sum over all n! diagrams.
+Every smeared sum takes one path.  Lag vectors, their supports, kernel
+vectors and resolution warnings are built once per (model, symbols, eps),
+and a slot subset reads them under its own slot numbers.  The truncated
+value of a slot set is the sum of its single-cycle diagrams; a diagram is
+the product of its cycles, so the first-block transform of the truncated
+values of all subsets gives the full ones.  The tests pin the contraction
+against an independent nested-sum oracle and the dense matrix chain, and
+the full value against the sum over all n! diagrams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -54,7 +75,10 @@ MAX_FIXED_TIME_N = 5
 MAX_SMEARED_N = 4
 RESOLUTION_BINS = 8.0  # bins required across a Fourier factor's width eps/sigma
 NYQUIST_MARGIN = pi / 2  # largest phase turn delta_e*|c|/eps of a Fourier factor per bin
-_ROW_BLOCK = 128  # rows per FFT block: work arrays stay _ROW_BLOCK x _fft_len(2M - 1)
+BAND_CUT = 2.0**-60  # lag mass a lag vector's support may drop, as a share of sum |t|
+# rows per FFT block: a block's work arrays span its column windows, at
+# most _ROW_BLOCK x _fft_len(2M - 1) when a support is the whole lag range
+_ROW_BLOCK = 128
 
 
 def _fft_len(target: int) -> int:
@@ -69,6 +93,18 @@ def _fft_len(target: int) -> int:
         if rest == 1:
             return n
         n += 1
+
+
+def _support(t: np.ndarray) -> tuple[int, int]:
+    """Lag range [lo, hi] of the smallest run of the lag vector t whose
+    dropped head and tail each hold at most BAND_CUT/2 of sum |t|; lo > hi
+    when t is identically zero."""
+    mag = np.abs(t)
+    cut = 0.5 * BAND_CUT * np.sum(mag)
+    head = int(np.searchsorted(np.cumsum(mag), cut, side="right"))
+    tail = int(np.searchsorted(np.cumsum(mag[::-1]), cut, side="right"))
+    centre = (len(t) - 1) // 2  # index of lag 0
+    return head - centre, centre - tail
 
 
 def two_point(model: SpectralModel, f: str, g: str, kind: str, tau: float, epsilon: float) -> complex:
@@ -167,25 +203,24 @@ class _PairingFactors:
 
         t_m[d] = ft_m((d delta_e - omega_m)/eps),   d = -(M-1) .. M-1,
 
-    stored at index d + M - 1, its FFT on _fft_len(2M - 1) points, and
-    the kernel vectors kern(l, j) of every slot pair.  An increasing slot
-    subset reads the same vectors as if built from its own symbols.
+    stored at index d + M - 1, its support (see _support), and the kernel
+    vectors kern(l, j) of every slot pair.  An increasing slot subset reads
+    the same vectors as if built from its own symbols.
     """
 
     def __init__(self, model: SpectralModel, symbols: tuple, epsilon: float):
         _check_smeared_order(len(symbols))
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (isfinite(epsilon) and epsilon > 0):
+            raise ValueError("epsilon must be a finite positive number")
         grid = model.grid
         self.epsilon = epsilon
         m = grid.bins
         self.m = m
         self.delta_e = grid.delta_e
-        self.size = _fft_len(2 * m - 1)
         self.warnings = resolution_warnings(model, symbols, epsilon)
         lags = np.arange(1 - m, m) * grid.delta_e  # E_b - E_a at lag b - a
         self.lag = [s.phi.fourier((lags - s.omega.omega(grid)) / epsilon) for s in symbols]
-        self.lag_fft = [np.fft.fft(t, self.size) for t in self.lag]
+        self.support = [_support(t) for t in self.lag]
         occupation = {DENSITY: model.density.values, COMMUTATOR: 1.0 + epsilon * model.density.values}
         self.kern = {
             (l, j): np.conj(model.amplitude(sj.g)) * model.amplitude(sl.f) * occupation[DENSITY if l <= j else COMMUTATOR]
@@ -195,12 +230,47 @@ class _PairingFactors:
 
     def cycle_value(self, cycle: tuple[int, ...]) -> complex:
         """delta_e^r trace(D_1 T_1 ... D_r T_r) for the cycle l_1 -> .. -> l_r,
-        with D_i = diag(kern(l_i, l_{i+1})) and T_i[a, b] = t_{l_{i+1}}[b - a]."""
+        with D_i = diag(kern(l_i, l_{i+1})) and T_i[a, b] = t_{l_{i+1}}[b - a],
+        each T_i cut to the lags of its support."""
         m, r = self.m, len(cycle)
         targets = cycle[1:] + cycle[:1]
         kern = [self.kern[pair] for pair in zip(cycle, targets)]
         if r == 1:
             return self.delta_e * np.sum(kern[0]) * self.lag[cycle[0] - 1][m - 1]
+        band = [self.support[j - 1] for j in targets]  # an empty one leaves every window empty
+        # back[i]: the column offsets, relative to a row, that links i+1..r-1
+        # can still carry back onto that row
+        back = [(-band[-1][1], -band[-1][0])]
+        for lo, hi in band[-2:0:-1]:
+            back.insert(0, (back[0][0] - hi, back[0][1] - lo))
+        # per row block, the half-open column window of the path product
+        # after each link but the closing one: what the block's rows reach
+        # forward, clipped to the grid and to what the later links carry back
+        plan = []
+        for r0 in range(0, m, _ROW_BLOCK):
+            r1 = min(r0 + _ROW_BLOCK, m)
+            c0, c1, windows = r0, r1, []
+            for (lo, hi), (b_lo, b_hi) in zip(band, back):
+                c0, c1 = max(c0 + lo, r0 + b_lo, 0), min(c1 + hi, r1 + b_hi, m)
+                if c0 >= c1:
+                    break
+                windows.append((c0, c1))
+            else:
+                plan.append((r0, r1, windows))
+        if not plan:
+            return 0j
+        # middle link i maps window p to window q by a linear convolution with
+        # the cut lag vector, output k at column p0 + lo_i + k; a circulant
+        # keeps the outputs on q unwrapped when it reaches past column q1 - 1
+        # and spans from column q0 to the last output, p1 - 1 + hi_i
+        sizes = []
+        for i in range(1, r - 1):
+            lo, hi = band[i]
+            need = 0
+            for _, _, w in plan:
+                (p0, p1), (q0, q1) = w[i - 1], w[i]
+                need = max(need, q1 - p0 - lo, p1 + hi - q0)
+            sizes.append(_fft_len(need))
         # zero-copy Toeplitz views: window[i, j] = t[i + j - (M-1)]
         first = sliding_window_view(self.lag[targets[0] - 1], m)[::-1]  # T[a, b] = t[b - a]
         last = sliding_window_view(self.lag[targets[-1] - 1], m)[:, ::-1]  # T^T[a, b] = t[a - b]
@@ -208,25 +278,32 @@ class _PairingFactors:
         # megabyte-sized temporaries per row block would each be mapped and
         # page-faulted anew by the allocator
         block = min(_ROW_BLOCK, m)
-        work = np.empty((block, m), dtype=complex)
-        pads = [np.empty((block, self.size), dtype=complex) for _ in range(min(r - 2, 2))]
+        width = max(w[k][1] - w[k][0] for _, _, w in plan for k in (0, -1))
+        work = np.empty(block * width, dtype=complex)
+        pads = [np.empty(block * max(sizes), dtype=complex) for _ in range(min(r - 2, 2))]
+        ffts = [
+            np.fft.fft(self.lag[j - 1][lo + m - 1 : hi + m], size)  # the cut lag vector, lag lo at index 0
+            for j, (lo, hi), size in zip(targets[1:-1], band[1:-1], sizes)
+        ]
         total = 0j
-        for lo in range(0, m, _ROW_BLOCK):
-            rows = slice(lo, lo + _ROW_BLOCK)
-            nb = min(block, m - lo)
-            x = np.multiply(kern[0][rows, None], first[rows], out=work[:nb])
-            # (x D T)[a, b] = sum_c x[a, c] k[c] t[b - c]: a linear convolution
-            # along rows, exact on a circulant of >= 2M - 1 points; the two
-            # pads alternate so that x never overlaps the product written
-            for i, (k, j) in enumerate(zip(kern[1:-1], targets[1:-1])):
-                pad = pads[i % 2][:nb]
-                np.multiply(x, k, out=pad[:, :m])
-                pad[:, m:] = 0
+        for r0, r1, windows in plan:
+            nb = r1 - r0
+            c0, c1 = windows[0]
+            x = np.multiply(kern[0][r0:r1, None], first[r0:r1, c0:c1], out=work[: nb * (c1 - c0)].reshape(nb, c1 - c0))
+            # (x D T)[a, b] = sum_c x[a, c] k[c] t[b - c]; the two pads
+            # alternate so that x never overlaps the product written
+            for i in range(1, r - 1):
+                (p0, p1), (q0, q1) = windows[i - 1], windows[i]
+                size, lo = sizes[i - 1], band[i][0]
+                pad = pads[(i - 1) % 2][: nb * size].reshape(nb, size)
+                np.multiply(x, kern[i][p0:p1], out=pad[:, : p1 - p0])
+                pad[:, p1 - p0 :] = 0
                 np.fft.fft(pad, axis=1, out=pad)
-                pad *= self.lag_fft[j - 1]
-                x = np.fft.ifft(pad, axis=1, out=pad)[:, m - 1 : 2 * m - 1]
-            x = np.multiply(x, kern[-1], out=work[:nb])
-            total += np.sum(np.multiply(x, last[rows], out=x))
+                pad *= ffts[i - 1]
+                x = np.fft.ifft(pad, axis=1, out=pad)[:, q0 - p0 - lo : q1 - p0 - lo]
+            c0, c1 = windows[-1]
+            x = np.multiply(x, kern[-1][c0:c1], out=work[: nb * (c1 - c0)].reshape(nb, c1 - c0))
+            total += np.sum(np.multiply(x, last[r0:r1, c0:c1], out=x))
         return self.delta_e**r * total
 
     def single_cycles(self, subset: tuple[int, ...]):
@@ -255,10 +332,11 @@ def pairing_term_smeared(model: SpectralModel, symbols, diagram: PairDiagram, ep
     A 1-cycle is delta_e sum(kern) ft(-omega/eps).  An r-cycle with r >= 2
     is delta_e^r trace(D_1 T_1 ... D_r T_r) over the Toeplitz factors
     T_i[a, b] = ft((E_b - E_a - omega)/eps), zero-copy views of one lag
-    vector per target slot: a 2-cycle is one Hadamard sum, a longer one
-    r - 2 Toeplitz products by FFT followed by a Hadamard sum with the last
-    link, over row blocks.  Each call builds its own pairing factors; the
-    smeared sums below never call it.
+    vector per target slot cut to its support (module docstring): a 2-cycle
+    is one Hadamard sum, a longer one r - 2 Toeplitz products by FFT
+    followed by a Hadamard sum with the last link, over row blocks and the
+    column windows each block's rows reach.  Each call builds its own
+    pairing factors; the smeared sums below never call it.
     """
     symbols = tuple(symbols)
     n = len(symbols)

@@ -7,7 +7,9 @@ from an explicit shifted-diagonal loop, vacuum expectations from full
 normal ordering of every expansion branch.  They are slow and only meant for
 tiny sizes.  The cross-checks at the end (the closure test for irreducible
 diagrams, the commutator of two expressions, anti-normal ordering) exist only
-to test the library's own rules against a second route.
+to test the library's own rules against a second route.  The one exception
+is full_lag_cycle_value, which repeats the unbanded FFT contraction so that
+the banded one can be held to it bit for bit where every support is full.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from lowdensity import (
     number_symbol_expansion,
 )
 from lowdensity import white_noise
+from lowdensity.finite_eps import _ROW_BLOCK, _fft_len
 
 # Known Bell numbers B_0 .. B_12.
 BELL_VALUES = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597]
@@ -164,6 +167,31 @@ def pairing_chain_oracle(model, symbols, diagram, epsilon):
             chain = b if chain is None else chain @ b
         value *= grid.delta_e**r * np.trace(chain)
     return complex(value)
+
+
+def full_lag_cycle_value(factors, cycle):
+    """The Toeplitz contraction of one cycle over every lag of every link:
+    the same row blocks and the same operations as the windowed
+    `_PairingFactors.cycle_value` when every support is the whole lag range,
+    with each link's product on a circulant of _fft_len(2M - 1) points and
+    fresh arrays throughout, so the two must agree bit for bit there."""
+    m, r = factors.m, len(cycle)
+    targets = cycle[1:] + cycle[:1]
+    kern = [factors.kern[pair] for pair in zip(cycle, targets)]
+    size = _fft_len(2 * m - 1)
+    d = np.arange(m)
+    first = factors.lag[targets[0] - 1][(m - 1) + d[None, :] - d[:, None]]  # t[b - a]
+    last = factors.lag[targets[-1] - 1][(m - 1) + d[:, None] - d[None, :]]  # t[a - b]
+    total = 0j
+    for lo in range(0, m, _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        x = kern[0][rows, None] * first[rows]
+        for k, j in zip(kern[1:-1], targets[1:-1]):
+            pad = np.zeros((len(x), size), dtype=complex)
+            pad[:, :m] = x * k
+            x = np.fft.ifft(np.fft.fft(pad, axis=1) * np.fft.fft(factors.lag[j - 1], size), axis=1)[:, m - 1 : 2 * m - 1]
+        total += np.sum(x * kern[-1] * last[rows])
+    return factors.delta_e**r * total
 
 
 def independence_probe_oracle(model, groups, epsilon):

@@ -428,6 +428,13 @@ def test_bad_epsilons_exit_one(capsys):
     assert main(["sweep", "--epsilons", "fast"]) == 1
 
 
+@pytest.mark.parametrize("command", ["sweep", "delta-lemma"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_epsilons_exit_one(command, value, capsys):
+    assert main([command, "--epsilons", f"0.1,{value}", "--assert"]) == 1
+    assert "expected finite numbers" in capsys.readouterr().err
+
+
 def test_config_errors_name_the_field(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps({"grid": {"e_max": 4.0}, "density": {"type": "flat", "value": 1.0}, "vectors": {}}))

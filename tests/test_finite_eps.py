@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import gaussian_shell_model, pairing_chain_oracle, pairing_oracle, random_model, random_phi, random_symbols
+from helpers import full_lag_cycle_value, gaussian_shell_model, pairing_chain_oracle, pairing_oracle, random_model, random_phi, random_symbols
 from lowdensity import (
     CorrelationFamily,
     NumberSymbol,
@@ -37,7 +37,7 @@ from lowdensity import (
     truncated_from_full,
     truncated_smeared,
 )
-from lowdensity.finite_eps import COMMUTATOR, DENSITY, _fft_len, two_point
+from lowdensity.finite_eps import BAND_CUT, COMMUTATOR, DENSITY, _fft_len, _PairingFactors, two_point
 
 
 def close(got, want, rel=1e-9):
@@ -297,7 +297,10 @@ def _symbol(f, g, s, family, center, width):
     return NumberSymbol.make(f, g, s, phi)
 
 
-# M below the FFT row block, equal to it, and not a multiple of it
+# M below the FFT row block, equal to it, and not a multiple of it; the
+# examples give supports much narrower than the grid, and shifts s = -+110
+# that leave an edge row block no column window at M = 201 and make both
+# lag vectors identically zero at M = 37
 @pytest.mark.parametrize("bins", [37, 128, 201])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @given(
@@ -316,6 +319,10 @@ def _symbol(f, g, s, family, center, width):
         max_size=4,
     ),
 )
+@example(seed=5, eps=0.02, specs=[("a", "b", 2, "gaussian", 0.3, 0.6), ("b", "a", -1, "gaussian", -0.2, 1.4),
+                                  ("a", "a", 0, "gaussian", 0.0, 1.0), ("b", "b", 3, "gaussian", 0.4, 0.8)])
+@example(seed=6, eps=0.02, specs=[("a", "b", -110, "gaussian", 0.1, 0.9), ("b", "a", 110, "gaussian", -0.3, 1.2),
+                                  ("a", "a", 0, "gaussian", 0.2, 0.8), ("b", "b", 0, "indicator", 0.0, 1.0)])
 @settings(max_examples=5)
 def test_toeplitz_contraction_matches_dense_chain(n, bins, seed, eps, specs):
     model = random_model(np.random.default_rng(seed), bins=bins)
@@ -323,6 +330,38 @@ def test_toeplitz_contraction_matches_dense_chain(n, bins, seed, eps, specs):
     for d in enumerate_pair_diagrams(n):
         got = pairing_term_smeared(model, symbols, d, eps).value
         close(got, pairing_chain_oracle(model, symbols, d, eps), rel=1e-12)
+
+
+def test_lag_support_cut():
+    m = 201
+    model = random_model(np.random.default_rng(11), bins=m)
+    gaussian = _PairingFactors(model, (_symbol("a", "b", 30, "gaussian", 0.2, 0.8),), 0.05)
+    lo, hi = gaussian.support[0]
+    mag = np.abs(gaussian.lag[0])
+    cut = 0.5 * BAND_CUT * np.sum(mag)
+    # each dropped side holds at most half the cut, and one lag more would not
+    assert np.sum(mag[: lo + m - 1]) <= cut and np.sum(mag[hi + m :]) <= cut
+    assert np.sum(mag[: lo + m]) > cut and np.sum(mag[hi + m - 1 :]) > cut
+    assert -(m - 1) < lo < 30 < hi < m - 1
+    # a sinc never falls below the cut: every window is the whole grid, and
+    # the cycle values are the full-lag contraction's bit for bit
+    specs = [("a", "b", 2, "indicator", 0.1, 0.7), ("b", "a", -1, "indicator", -0.2, 1.1),
+             ("a", "a", 0, "indicator", 0.3, 0.9), ("b", "b", 1, "indicator", 0.0, 1.3)]
+    symbols = tuple(_symbol(*spec) for spec in specs)
+    factors = _PairingFactors(model, symbols, 0.05)
+    assert factors.support == [(-(m - 1), m - 1)] * 4
+    for cycle in [(1, 2), (1, 2, 3), (1, 3, 2), (1, 2, 3, 4), (1, 4, 2, 3)]:
+        assert factors.cycle_value(cycle) == full_lag_cycle_value(factors, cycle)
+    d = PairDiagram((2, 3, 4, 1))  # the 4-cycle (1 2 3 4)
+    close(factors.epsilon ** (d.k - 4) * factors.cycle_value((1, 2, 3, 4)), pairing_chain_oracle(model, symbols, d, 0.05), rel=1e-12)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, float("nan"), float("inf")])
+def test_epsilon_must_be_finite_and_positive(eps):
+    model = gaussian_shell_model(bins=16)
+    sym = NumberSymbol.make("a", "b", 0, TestFunction.gaussian())
+    with pytest.raises(ValueError, match="epsilon must be a finite positive number"):
+        correlation_smeared(model, [sym, sym], eps)
 
 
 def test_resolution_warning_threshold():
