@@ -4,8 +4,10 @@ Each permutation sigma of {1..n} is a diagram. Positions l with l <= sigma(l)
 contribute a small factor (one power of the density scale) and the rest
 contribute order-one commutators, so a diagram with k small factors sits at
 relative order k-1 once the overall normalization is fixed by the chain
-diagram. Irreducible means the cycle closure of sigma does not split {1..n}
-into two consecutive blocks.
+diagram. Irreducible means sigma is a single n-cycle: no proper nonempty
+subset of the slots is mapped onto itself. The subset need not be a block of
+consecutive slots: sigma = (3, 2, 1) = (1 3)(2) splits {1, 2, 3} into no two
+consecutive blocks, yet it fixes {2} and is reducible.
 """
 
 import math

@@ -1,10 +1,11 @@
 """Command line front end.
 
-Every subcommand prints a short human summary to stdout and, with --out,
-writes a deterministic CSV or JSON table plus a .meta.json sidecar that
-records enough to reproduce the run.  --assert turns each command's headline
-claim into a hard check: exit status 0 on success, 2 when an assertion
-fails, 1 for configuration or usage errors.
+Every subcommand prints a short human summary to stdout and returns its
+table (row dicts or a ConvergenceReport), its own metadata and the messages
+of its headline claims that failed.  `main` alone writes the table and the
+.meta.json sidecar (with --out), then sets the exit status: 0 on success,
+1 for configuration or usage errors, 2 when --assert finds a failed claim,
+which is reported after the outputs are written.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ from .symbols import FrequencyIndex, NumberSymbol, TestFunction
 from .white_noise import evaluate_symbolic, vacuum_expectation
 
 
-class AssertionFailed(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # usage errors exit 1; exit 2 is reserved for --assert failures
     def error(self, message):
@@ -38,15 +35,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(f"{self.prog}: error: {message}") from None
 
 
-def _float_list(text: str) -> list[float]:
+def _finite_float(text: str) -> float:
+    """A number that is neither NaN nor infinite: a NaN turns off every
+    comparison a check makes with it."""
     try:
-        values = [float(x) for x in text.split(",") if x.strip()]
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected finite numbers, got {text!r}")
+    return value
+
+
+def _float_list(text: str) -> list[float]:
+    values = [_finite_float(x) for x in text.split(",") if x.strip()]
     if not values:
         raise argparse.ArgumentTypeError("expected at least one number")
-    if not all(isfinite(x) for x in values):
-        raise argparse.ArgumentTypeError(f"expected finite numbers, got {text!r}")
     return values
 
 
@@ -58,34 +62,21 @@ def _load(args):
     return cfg, model_from_config(cfg)
 
 
-def _emit(args, table, metadata: dict) -> None:
-    """With --out, write the table (row dicts or a ConvergenceReport) and
-    the sidecar holding the run's metadata."""
-    if not args.out:
-        return
-    if isinstance(table, ConvergenceReport):
-        table.write(args.out, args.format)
-    else:
-        write_table(args.out, args.format, table, metadata)
-    write_sidecar(args.out, metadata)
-
-
-def _meta(args, command: str, **extra) -> dict:
-    meta = {"command": command, "config": args.config or "builtin-default", "version": __version__}
-    meta.update(extra)
-    return meta
-
-
-def _assert_unwarned(report: ConvergenceReport) -> None:
-    """Fail on any warned row: its premise fails (separation) or its value is
-    not trusted (grid width, Nyquist), so its decay proves nothing."""
+def _unwarned(report: ConvergenceReport) -> list[str]:
+    """Fails on any warned row: its premise fails (separation) or its value
+    is not trusted (grid width, Nyquist), so its decay proves nothing."""
     warned = [row for row in report.rows if row.warnings]
-    if warned:
-        raise AssertionFailed(f"{len(warned)} of {len(report.rows)} rows carry warnings, "
-                              f"first at eps={warned[0].epsilon:g}: {warned[0].warnings[0]}")
+    return [f"{len(warned)} of {len(report.rows)} rows carry warnings, "
+            f"first at eps={warned[0].epsilon:g}: {warned[0].warnings[0]}"] if warned else []
 
 
-def cmd_limit(args) -> int:
+def _strictly_decreasing(report: ConvergenceReport) -> list[str]:
+    errs = [row.rel_err for row in report.rows]
+    rose = any(e2 >= e1 for e1, e2 in zip(errs, errs[1:]))
+    return [f"relative errors are not strictly decreasing: {errs}"] if rose else []
+
+
+def cmd_limit(args):
     cfg, model = _load(args)
     symbols = symbols_from_config(cfg, model)
     kernels = [rank_one_kernel(model, s.f, s.g) for s in symbols]
@@ -103,13 +94,11 @@ def cmd_limit(args) -> int:
         "limit_re": smeared.real, "limit_im": smeared.imag,
         "delta_chain_order": coeff.delta_chain_order,
     }]
-    _emit(args, rows, _meta(args, "limit", n=n))
-    if args.do_assert and not coeff.omega_gate_passed and (coeff.value != 0 or smeared != 0):
-        raise AssertionFailed("omega gate failed but the value is not exactly zero")
-    return 0
+    leaked = not coeff.omega_gate_passed and (coeff.value != 0 or smeared != 0)
+    return rows, {"n": n}, ["omega gate failed but the value is not exactly zero"] if leaked else []
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     cfg, model = _load(args)
     symbols = symbols_from_config(cfg, model)
     report = convergence_sweep(model, symbols, args.epsilons)
@@ -117,16 +106,10 @@ def cmd_sweep(args) -> int:
         warn = f"  [{';'.join(row.warnings)}]" if row.warnings else ""
         print(f"eps={row.epsilon:<8g} value={row.value:.10g}  rel_err={row.rel_err:.3e}{warn}")
     print(f"limit = {report.rows[0].limit:.12g}")
-    _emit(args, report, _meta(args, "sweep", **report.metadata))
-    if args.do_assert:
-        _assert_unwarned(report)
-        errs = [row.rel_err for row in report.rows]
-        if any(e2 >= e1 for e1, e2 in zip(errs, errs[1:])):
-            raise AssertionFailed(f"relative errors are not strictly decreasing: {errs}")
-    return 0
+    return report, report.metadata, _unwarned(report) + _strictly_decreasing(report)
 
 
-def cmd_free_check(args) -> int:
+def cmd_free_check(args):
     cfg, model = _load(args)
     rows = []
     if args.random:
@@ -166,13 +149,11 @@ def cmd_free_check(args) -> int:
         })
         print(f"trial {i}: n={len(syms)}  free={fm:.10g}  limit={lim:.10g}  diff={abs(fm - lim):.3e}")
     print(f"worst scaled difference = {worst:.3e}")
-    _emit(args, rows, _meta(args, "free-check", trials=len(trials), seed=args.seed if args.random else None))
-    if args.do_assert and worst > 1e-12:
-        raise AssertionFailed(f"free product rule deviates by {worst:.3e} > 1e-12")
-    return 0
+    failed = [f"free product rule deviates by {worst:.3e} > 1e-12"] if worst > 1e-12 else []
+    return rows, {"trials": len(trials), "seed": args.seed if args.random else None}, failed
 
 
-def cmd_poisson(args) -> int:
+def cmd_poisson(args):
     if args.moments is not None:
         if args.moments < 1:
             raise ConfigError(f"--moments must be at least 1, got {args.moments}")
@@ -209,14 +190,11 @@ def cmd_poisson(args) -> int:
         else:
             if any(k != 0 for k in kappas):
                 failures.append(f"lambda={lam}: nonzero cumulant at omega_index={args.omega_index}")
-    _emit(args, rows, _meta(args, "poisson", lam=args.lam, orders=args.orders,
-                            bins=args.bins, e_max=args.e_max, omega_index=args.omega_index))
-    if args.do_assert and failures:
-        raise AssertionFailed("; ".join(failures))
-    return 0
+    meta = {"lam": args.lam, "orders": args.orders, "bins": args.bins, "e_max": args.e_max, "omega_index": args.omega_index}
+    return rows, meta, ["; ".join(failures)] if failures else []
 
 
-def cmd_independence(args) -> int:
+def cmd_independence(args):
     cfg, model = _load(args)
     symbols = symbols_from_config(cfg, model)
     if args.groups:
@@ -234,16 +212,12 @@ def cmd_independence(args) -> int:
     for row in report.rows:
         warn = f"  [{';'.join(row.warnings)}]" if row.warnings else ""
         print(f"eps={row.epsilon:<8g} |probe|={abs(row.value):.6e}{warn}")
-    _emit(args, report, _meta(args, "independence", **report.metadata))
-    if args.do_assert:
-        _assert_unwarned(report)
-        first, last = abs(report.rows[0].value), abs(report.rows[-1].value)
-        if last > first:
-            raise AssertionFailed(f"probe magnitude grew from {first:.3e} to {last:.3e}")
-    return 0
+    first, last = abs(report.rows[0].value), abs(report.rows[-1].value)
+    grew = [f"probe magnitude grew from {first:.3e} to {last:.3e}"] if last > first else []
+    return report, report.metadata, _unwarned(report) + grew
 
 
-def cmd_wn_expect(args) -> int:
+def cmd_wn_expect(args):
     cfg, model = _load(args)
     if args.pairs:
         try:
@@ -296,16 +270,13 @@ def cmd_wn_expect(args) -> int:
     if k == 1 and args.connected_only:
         expected = 0j  # a lone symbol's vacuum value is all scalar part, here dropped
     print(f"chain coefficient check: engine={evaluated.connected:.10g}  spectral={expected:.10g}")
-    _emit(args, rows, _meta(args, "wn-expect", k=k, labels=["{}:{}".format(*l) for l in labels],
-                            connected_only=args.connected_only))
-    if args.do_assert:
-        err = abs(evaluated.connected - expected) / max(1.0, abs(expected))
-        if err > 1e-10:
-            raise AssertionFailed(f"connected chain deviates from the spectral coefficient by {err:.3e}")
-    return 0
+    err = abs(evaluated.connected - expected) / max(1.0, abs(expected))
+    failed = [f"connected chain deviates from the spectral coefficient by {err:.3e}"] if err > 1e-10 else []
+    meta = {"k": k, "labels": ["{}:{}".format(*l) for l in labels], "connected_only": args.connected_only}
+    return rows, meta, failed
 
 
-def cmd_diagrams(args) -> int:
+def cmd_diagrams(args):
     n = args.n
     diagrams = enumerate_pair_diagrams(n)
     classes = [(d, classify(d)) for d in diagrams]
@@ -327,19 +298,16 @@ def cmd_diagrams(args) -> int:
             "surviving": surviving.label(),
         })
     print(f"n={n}: {len(diagrams)} diagrams, {len(irreducible)} irreducible, surviving cycle {surviving.label()}")
-    _emit(args, rows, _meta(args, "diagrams", n=n))
-    if args.do_assert:
-        if len(diagrams) != factorial(n):
-            raise AssertionFailed(f"expected {factorial(n)} diagrams, found {len(diagrams)}")
-        if len(irreducible) != factorial(n - 1):
-            raise AssertionFailed(f"expected {factorial(n - 1)} irreducible diagrams, found {len(irreducible)}")
-        surv_class = classify(surviving)
-        if not surv_class.irreducible or surv_class.k != 1:
-            raise AssertionFailed("the surviving diagram is not a k=1 single cycle")
-    return 0
+    surv_class = classify(surviving)
+    failed = [message for bad, message in (
+        (len(diagrams) != factorial(n), f"expected {factorial(n)} diagrams, found {len(diagrams)}"),
+        (len(irreducible) != factorial(n - 1), f"expected {factorial(n - 1)} irreducible diagrams, found {len(irreducible)}"),
+        (not surv_class.irreducible or surv_class.k != 1, "the surviving diagram is not a k=1 single cycle"),
+    ) if bad]
+    return rows, {"n": n}, failed
 
 
-def cmd_bell(args) -> int:
+def cmd_bell(args):
     rows = []
     bad = []
     exact = [1]  # B_n = sum_{j<n} C(n-1, j) B_j in integers, no Stirling numbers
@@ -351,13 +319,11 @@ def cmd_bell(args) -> int:
         exact.append(sum(comb(order - 1, j) * exact[j] for j in range(order)))
         if b != exact[order] or touchard(order, 1.0) != exact[order]:
             bad.append(order)
-    _emit(args, rows, _meta(args, "bell", max_order=args.max_order, lam=args.lam))
-    if args.do_assert and bad:
-        raise AssertionFailed(f"bell or touchard at lambda=1 disagrees with the Bell recursion at orders {bad}")
-    return 0
+    failed = [f"bell or touchard at lambda=1 disagrees with the Bell recursion at orders {bad}"] if bad else []
+    return rows, {"max_order": args.max_order, "lam": args.lam}, failed
 
 
-def cmd_delta_lemma(args) -> int:
+def cmd_delta_lemma(args):
     phi_cfg = {"family": args.phi_family, "width": args.sigma_t, "center": args.phi_center}
     if args.phi_family == "indicator":
         phi_cfg = {"family": "indicator", "lo": args.phi_lo, "hi": args.phi_hi}
@@ -366,14 +332,9 @@ def cmd_delta_lemma(args) -> int:
     report = delta_lemma_check(f, phi, args.epsilons)
     for row in report.rows:
         print(f"eps={row.epsilon:<8g} value={row.value:.8g}  target={row.limit:.8g}  rel_err={row.rel_err:.3e}")
-    _emit(args, report, _meta(args, "delta-lemma", epsilons=args.epsilons))
-    if args.do_assert:
-        errs = [row.rel_err for row in report.rows]
-        if any(e2 >= e1 for e1, e2 in zip(errs, errs[1:])):
-            raise AssertionFailed(f"relative errors are not decreasing: {errs}")
-        if errs[-1] > 0.05:
-            raise AssertionFailed(f"final relative error {errs[-1]:.3e} exceeds 5%")
-    return 0
+    final = report.rows[-1].rel_err
+    too_far = [f"final relative error {final:.3e} exceeds 5%"] if final > 0.05 else []
+    return report, {"epsilons": args.epsilons}, _strictly_decreasing(report) + too_far
 
 
 @lru_cache(maxsize=None)
@@ -408,13 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orders", type=int, default=6)
     p.add_argument("--moments", type=int, metavar="N", help=f"also compute moments up to order N, 1 <= N <= {MAX_ENUM_PARTITION}")
     p.add_argument("--grid-bins", dest="bins", type=int, default=64)
-    p.add_argument("--e-max", type=float, default=8.0)
+    p.add_argument("--e-max", type=_finite_float, default=8.0)
     p.add_argument("--omega-index", type=int, default=0)
 
     p = command("independence", cmd_independence, "decay of correlations between separated groups")
     p.add_argument("--epsilons", type=_float_list, default=[0.2, 0.1, 0.05])
     p.add_argument("--groups", help="semicolon-separated 1-based symbol index groups, e.g. '1,2;3'; each group's product is centred")
-    p.add_argument("--separation", type=float, default=10.0,
+    p.add_argument("--separation", type=_finite_float, default=10.0,
                    help="required group separation in units of the mean time width")
 
     p = command("wn-expect", cmd_wn_expect, "symbolic white-noise vacuum expectation", symbols=True)
@@ -430,17 +391,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("bell", cmd_bell, "Bell numbers and Touchard moments")
     p.add_argument("--n", dest="max_order", type=int, default=6)
-    p.add_argument("--lam", type=float, default=1.0)
+    p.add_argument("--lam", type=_finite_float, default=1.0)
 
     p = command("delta-lemma", cmd_delta_lemma, "oscillatory integral against its delta limit")
     p.add_argument("--epsilons", type=_float_list, default=[0.1, 0.03, 0.01])
-    p.add_argument("--sigma-t", type=float, default=1.0, help="time width of the gaussian phi")
-    p.add_argument("--sigma-x", type=float, default=1.0, help="width of the gaussian space factor")
+    p.add_argument("--sigma-t", type=_finite_float, default=1.0, help="time width of the gaussian phi")
+    p.add_argument("--sigma-x", type=_finite_float, default=1.0, help="width of the gaussian space factor")
     p.add_argument("--phi-family", choices=("gaussian", "indicator"), default="gaussian")
-    p.add_argument("--phi-center", type=float, default=0.0)
-    p.add_argument("--phi-lo", type=float, default=-1.0)
-    p.add_argument("--phi-hi", type=float, default=1.0)
-    p.add_argument("--f-center", type=float, default=0.0)
+    p.add_argument("--phi-center", type=_finite_float, default=0.0)
+    p.add_argument("--phi-lo", type=_finite_float, default=-1.0)
+    p.add_argument("--phi-hi", type=_finite_float, default=1.0)
+    p.add_argument("--f-center", type=_finite_float, default=0.0)
 
     return parser
 
@@ -455,13 +416,22 @@ def main(argv=None) -> int:
             return 1
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return args.fn(args)
-    except AssertionFailed as exc:
-        print(f"assertion failed: {exc}", file=sys.stderr)
-        return 2
+        table, extra, failed = args.fn(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.out:
+        metadata = {"command": args.command, "config": args.config or "builtin-default", "version": __version__, **extra}
+        if isinstance(table, ConvergenceReport):
+            table.write(args.out, args.format)
+        else:
+            write_table(args.out, args.format, table, metadata)
+        write_sidecar(args.out, metadata)
+    # a failed claim is reported only once its table and sidecar are written
+    if args.do_assert and failed:
+        print(f"assertion failed: {failed[0]}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ name the offending field path.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -44,8 +45,9 @@ def _require(mapping: Mapping[str, Any], key: str, path: str) -> Any:
 
 
 def _number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    # JSON's NaN and Infinity parse as floats, and a NaN switches every check off
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
 

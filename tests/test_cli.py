@@ -428,11 +428,54 @@ def test_bad_epsilons_exit_one(capsys):
     assert main(["sweep", "--epsilons", "fast"]) == 1
 
 
-@pytest.mark.parametrize("command", ["sweep", "delta-lemma"])
+# a NaN input turns off every check compared with it, so each float option refuses it
+NON_FINITE = {
+    "sweep": ["sweep", "--epsilons", "0.1,{}"],
+    "delta-lemma": ["delta-lemma", "--epsilons", "0.1,{}"],
+    "poisson-lambda": ["poisson", "--lambda", "1.0,{}"],
+    "poisson-e-max": ["poisson", "--e-max", "{}"],
+    "independence-separation": ["independence", "--separation", "{}"],
+    "bell-lam": ["bell", "--lam", "{}"],
+    "delta-lemma-sigma-t": ["delta-lemma", "--sigma-t", "{}"],
+    "delta-lemma-sigma-x": ["delta-lemma", "--sigma-x", "{}"],
+    "delta-lemma-phi-center": ["delta-lemma", "--phi-center", "{}"],
+    "delta-lemma-phi-lo": ["delta-lemma", "--phi-family", "indicator", "--phi-lo", "{}"],
+    "delta-lemma-phi-hi": ["delta-lemma", "--phi-family", "indicator", "--phi-hi", "{}"],
+    "delta-lemma-f-center": ["delta-lemma", "--f-center", "{}"],
+}
+
+
+@pytest.mark.parametrize("command", list(NON_FINITE))
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_epsilons_exit_one(command, value, capsys):
-    assert main([command, "--epsilons", f"0.1,{value}", "--assert"]) == 1
+    assert main([arg.format(value) for arg in NON_FINITE[command]] + ["--assert"]) == 1
     assert "expected finite numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_config_number_names_the_field(value, tmp_path, capsys):
+    cfg = json.loads(json.dumps(CONFIG))
+    cfg["symbols"][0]["phi"]["width"] = value
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(cfg))  # written as NaN / Infinity, which json.load accepts
+    assert main(["sweep", "--config", str(path), "--assert"]) == 1
+    captured = capsys.readouterr()
+    assert "symbols[0].phi.width: expected a finite number" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["sweep", "independence"])
+def test_failed_claim_still_writes_its_outputs(command, tmp_path, capsys):
+    # the default model's rows carry warnings, so --assert fails; the table
+    # and the sidecar are written first, byte for byte as without --assert
+    plain, checked = tmp_path / "plain", tmp_path / "checked"
+    plain.mkdir()
+    checked.mkdir()
+    assert main([command, "--out", str(plain / "t.csv")]) == 0
+    assert main([command, "--assert", "--out", str(checked / "t.csv")]) == 2
+    assert "assertion failed: " in capsys.readouterr().err
+    for name in ("t.csv", "t.csv.meta.json"):
+        assert (checked / name).read_bytes() == (plain / name).read_bytes()
 
 
 def test_config_errors_name_the_field(tmp_path, capsys):
