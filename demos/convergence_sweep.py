@@ -18,7 +18,7 @@ from lowdensity import (
     resolution_warnings,
     truncated_smeared,
 )
-from lowdensity.spectral import DensityProfile, EnergyGrid, ShellAmplitude
+from lowdensity.spectral import EnergyGrid
 
 
 def reference_model(bins=1280, e_max=4.0):
@@ -26,8 +26,7 @@ def reference_model(bins=1280, e_max=4.0):
     e = grid.centers
     a = np.exp(-((e - 1.2) ** 2) / (2 * 0.35**2)).astype(complex)
     b = 0.8 * np.exp(-((e - 2.1) ** 2) / (2 * 0.5**2)).astype(complex)
-    return make_model(grid, DensityProfile.flat(1.0, bins),
-                      [ShellAmplitude("a", a), ShellAmplitude("b", b)])
+    return make_model(grid, np.ones(bins), {"a": a, "b": b})
 
 
 if __name__ == "__main__":

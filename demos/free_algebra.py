@@ -9,18 +9,17 @@ must match to rounding. Random kernels, random test functions, zero shifts.
 import numpy as np
 
 from lowdensity import NumberSymbol, TestFunction, free_moment, limit_truncated_smeared, make_model
-from lowdensity.spectral import DensityProfile, EnergyGrid, ShellAmplitude
+from lowdensity.spectral import EnergyGrid
 
 rng = np.random.default_rng(7)
 
 
 def random_setup(bins=64, e_max=3.0):
     grid = EnergyGrid(e_max=e_max, bins=bins)
-    dens = DensityProfile(rng.uniform(0.1, 1.5, bins))
-    vecs = []
+    dens = rng.uniform(0.1, 1.5, bins)
+    vecs = {}
     for name in ("a", "b"):
-        v = rng.normal(size=bins) + 1j * rng.normal(size=bins)
-        vecs.append(ShellAmplitude(name, v))
+        vecs[name] = rng.normal(size=bins) + 1j * rng.normal(size=bins)
     return make_model(grid, dens, vecs)
 
 

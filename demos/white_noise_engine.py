@@ -18,7 +18,7 @@ from lowdensity import (
     rank_one_kernel,
     vacuum_expectation,
 )
-from lowdensity.spectral import DensityProfile, EnergyGrid, ShellAmplitude, TWO_PI
+from lowdensity.spectral import EnergyGrid, TWO_PI
 
 import numpy as np
 
@@ -28,8 +28,7 @@ def model_with_two_shells(bins=48, e_max=4.0):
     e = grid.centers
     f = np.exp(-((e - 1.0) ** 2)).astype(complex)
     g = np.exp(-((e - 2.5) ** 2)).astype(complex)
-    return make_model(grid, DensityProfile.flat(1.0, bins),
-                      [ShellAmplitude("f", f), ShellAmplitude("g", g)])
+    return make_model(grid, np.ones(bins), {"f": f, "g": g})
 
 
 if __name__ == "__main__":

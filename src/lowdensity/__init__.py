@@ -20,10 +20,8 @@ from .partitions import (
     touchard,
 )
 from .spectral import (
-    DensityProfile,
     EnergyGrid,
     LimitCoefficient,
-    ShellAmplitude,
     ShellKernel,
     SpectralModel,
     free_moment,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import lru_cache
-from math import comb, factorial, isfinite
+from math import comb, factorial, isfinite, isnan
 
 import numpy as np
 
@@ -54,6 +54,24 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
+def _epsilons(text: str) -> list[float]:
+    """Finite scales epsilon > 0: every finite-epsilon value divides by epsilon."""
+    values = _float_list(text)
+    if min(values) <= 0:
+        raise argparse.ArgumentTypeError(f"expected positive numbers, got {text!r}")
+    return values
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _load(args):
     cfg = load_config(args.config) if args.config else default_config()
     if getattr(args, "symbols", None):
@@ -72,6 +90,8 @@ def _unwarned(report: ConvergenceReport) -> list[str]:
 
 def _strictly_decreasing(report: ConvergenceReport) -> list[str]:
     errs = [row.rel_err for row in report.rows]
+    if any(isnan(e) for e in errs):
+        return ["the relative error is undefined because the limit is 0"]
     rose = any(e2 >= e1 for e1, e2 in zip(errs, errs[1:]))
     return [f"relative errors are not strictly decreasing: {errs}"] if rose else []
 
@@ -155,41 +175,39 @@ def cmd_free_check(args):
 
 def cmd_poisson(args):
     if args.moments is not None:
-        if args.moments < 1:
-            raise ConfigError(f"--moments must be at least 1, got {args.moments}")
         _check_arity(args.moments)  # before any lambda is computed or printed
     grid = EnergyGrid(e_max=args.e_max, bins=args.bins)
     rows = []
     failures = []
     for lam in args.lam:
         kappas = poisson_cumulants(lam, args.orders, grid, omega_index=args.omega_index)
+        # every cumulant is lambda at zero frequency and exactly 0 otherwise
+        cumulant = lam if args.omega_index == 0 else 0.0
         for l, kappa in enumerate(kappas, start=1):
-            target = complex(lam) if args.omega_index == 0 else 0j
             rows.append({
                 "lam": lam, "kind": "cumulant", "order": l,
                 "value_re": kappa.real, "value_im": kappa.imag,
-                "target_re": target.real, "abs_err": abs(kappa - target),
+                "target_re": cumulant, "abs_err": abs(kappa - cumulant),
             })
         shown = ", ".join(f"{k.real:.12g}" for k in kappas)
         print(f"lambda={lam}: kappa_1..{args.orders} = {shown}")
         if args.omega_index == 0:
             if max(abs(k - lam) for k in kappas) > 1e-12:
                 failures.append(f"lambda={lam}: cumulants deviate from lambda")
-            if args.moments is not None:
-                moments = poisson_moments(lam, args.moments)
-                targets = [touchard(nn, lam) for nn in range(1, args.moments + 1)]
-                for nn, (m, t) in enumerate(zip(moments, targets), start=1):
-                    rows.append({
-                        "lam": lam, "kind": "moment", "order": nn,
-                        "value_re": m, "value_im": 0.0,
-                        "target_re": t, "abs_err": abs(m - t),
-                    })
-                print(f"lambda={lam}: moments 1..{args.moments} = " + ", ".join(f"{m:.10g}" for m in moments))
-                if max(abs(m - t) / max(1.0, abs(t)) for m, t in zip(moments, targets)) > 1e-12:
-                    failures.append(f"lambda={lam}: moments deviate from Touchard values")
-        else:
-            if any(k != 0 for k in kappas):
-                failures.append(f"lambda={lam}: nonzero cumulant at omega_index={args.omega_index}")
+        elif any(k != 0 for k in kappas):
+            failures.append(f"lambda={lam}: nonzero cumulant at omega_index={args.omega_index}")
+        if args.moments is not None:
+            moments = poisson_moments(cumulant, args.moments)
+            targets = [touchard(nn, cumulant) for nn in range(1, args.moments + 1)]
+            for nn, (m, t) in enumerate(zip(moments, targets), start=1):
+                rows.append({
+                    "lam": lam, "kind": "moment", "order": nn,
+                    "value_re": m, "value_im": 0.0,
+                    "target_re": t, "abs_err": abs(m - t),
+                })
+            print(f"lambda={lam}: moments 1..{args.moments} = " + ", ".join(f"{m:.10g}" for m in moments))
+            if max(abs(m - t) / max(1.0, abs(t)) for m, t in zip(moments, targets)) > 1e-12:
+                failures.append(f"lambda={lam}: moments deviate from Touchard values")
     meta = {"lam": args.lam, "orders": args.orders, "bins": args.bins, "e_max": args.e_max, "omega_index": args.omega_index}
     return rows, meta, ["; ".join(failures)] if failures else []
 
@@ -235,7 +253,7 @@ def cmd_wn_expect(args):
                 raise ConfigError(f"symbols[{i}]: needs 'f' and 'g' vector names")
             labels.append((str(entry["f"]), str(entry["g"])))
     if args.order is not None:
-        if args.order < 1 or args.order > len(labels):
+        if args.order > len(labels):
             raise ConfigError(f"--order must be between 1 and the number of symbols ({len(labels)})")
         labels = labels[: args.order]
     for f, g in labels:
@@ -343,10 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lowdensity", description="Low density limit toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, summary, symbols=False):
+    def command(name, fn, summary, model=False, symbols=False):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(fn=fn)
-        p.add_argument("--config", help="JSON model/symbol config (builtin demo model when omitted)")
+        if model:
+            p.add_argument("--config", help="JSON model/symbol config (builtin demo model when omitted)")
         p.add_argument("--out", help="write the result table to this path")
         p.add_argument("--format", choices=("csv", "json"), default="csv", help="table format for --out")
         p.add_argument("--assert", dest="do_assert", action="store_true",
@@ -355,46 +374,46 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--symbols", help="JSON file with a symbols array, overrides the config's")
         return p
 
-    command("limit", cmd_limit, "limiting truncated value of the configured symbols", symbols=True)
+    command("limit", cmd_limit, "limiting truncated value of the configured symbols", model=True, symbols=True)
 
-    p = command("sweep", cmd_sweep, "finite-epsilon truncated values against the limit", symbols=True)
-    p.add_argument("--epsilons", type=_float_list, default=[0.2, 0.1, 0.05])
+    p = command("sweep", cmd_sweep, "finite-epsilon truncated values against the limit", model=True, symbols=True)
+    p.add_argument("--epsilons", type=_epsilons, default=[0.2, 0.1, 0.05])
 
-    p = command("free-check", cmd_free_check, "free white-noise product rule vs the limit formula", symbols=True)
-    p.add_argument("--random", type=int, metavar="N", help="check N random symbol configurations")
+    p = command("free-check", cmd_free_check, "free white-noise product rule vs the limit formula", model=True, symbols=True)
+    p.add_argument("--random", type=_positive_int, metavar="N", help="check N random symbol configurations")
     p.add_argument("--seed", type=int, default=0, help="seed for --random")
 
     p = command("poisson", cmd_poisson, "hard-shell cumulants and moments")
     p.add_argument("--lambda", dest="lam", type=_float_list, default=[0.5, 1.0, 2.0])
-    p.add_argument("--orders", type=int, default=6)
-    p.add_argument("--moments", type=int, metavar="N", help=f"also compute moments up to order N, 1 <= N <= {MAX_ENUM_PARTITION}")
+    p.add_argument("--orders", type=_positive_int, default=6)
+    p.add_argument("--moments", type=_positive_int, metavar="N", help=f"also compute moments up to order N, 1 <= N <= {MAX_ENUM_PARTITION}")
     p.add_argument("--grid-bins", dest="bins", type=int, default=64)
     p.add_argument("--e-max", type=_finite_float, default=8.0)
     p.add_argument("--omega-index", type=int, default=0)
 
-    p = command("independence", cmd_independence, "decay of correlations between separated groups")
-    p.add_argument("--epsilons", type=_float_list, default=[0.2, 0.1, 0.05])
+    p = command("independence", cmd_independence, "decay of correlations between separated groups", model=True)
+    p.add_argument("--epsilons", type=_epsilons, default=[0.2, 0.1, 0.05])
     p.add_argument("--groups", help="semicolon-separated 1-based symbol index groups, e.g. '1,2;3'; each group's product is centred")
     p.add_argument("--separation", type=_finite_float, default=10.0,
                    help="required group separation in units of the mean time width")
 
-    p = command("wn-expect", cmd_wn_expect, "symbolic white-noise vacuum expectation", symbols=True)
+    p = command("wn-expect", cmd_wn_expect, "symbolic white-noise vacuum expectation", model=True, symbols=True)
     p.add_argument("--pairs", help="f:g pairs, e.g. 'a:b,b:a' (defaults to config symbols)")
-    p.add_argument("--order", type=int, help="use only the first k symbols")
+    p.add_argument("--order", type=_positive_int, help="use only the first k symbols")
     p.add_argument("--connected-only", action="store_true", help="drop the scalar part of each symbol")
     p.add_argument("--show-steps", action="store_true",
                    help="print each expansion branch that contributes a term and its scalar terms")
 
     p = command("diagrams", cmd_diagrams, "pairing diagram census")
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=_positive_int, default=4)
     p.add_argument("--list", action="store_true", help="one row per diagram")
 
     p = command("bell", cmd_bell, "Bell numbers and Touchard moments")
-    p.add_argument("--n", dest="max_order", type=int, default=6)
+    p.add_argument("--n", dest="max_order", type=_positive_int, default=6)
     p.add_argument("--lam", type=_finite_float, default=1.0)
 
     p = command("delta-lemma", cmd_delta_lemma, "oscillatory integral against its delta limit")
-    p.add_argument("--epsilons", type=_float_list, default=[0.1, 0.03, 0.01])
+    p.add_argument("--epsilons", type=_epsilons, default=[0.1, 0.03, 0.01])
     p.add_argument("--sigma-t", type=_finite_float, default=1.0, help="time width of the gaussian phi")
     p.add_argument("--sigma-x", type=_finite_float, default=1.0, help="width of the gaussian space factor")
     p.add_argument("--phi-family", choices=("gaussian", "indicator"), default="gaussian")
@@ -421,7 +440,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        metadata = {"command": args.command, "config": args.config or "builtin-default", "version": __version__, **extra}
+        metadata = {"command": args.command, "version": __version__, **extra}
+        if "config" in args:
+            metadata["config"] = args.config or "builtin-default"
         if isinstance(table, ConvergenceReport):
             table.write(args.out, args.format)
         else:

@@ -30,7 +30,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .spectral import DensityProfile, EnergyGrid, ShellAmplitude, SpectralModel, make_model
+from .spectral import EnergyGrid, SpectralModel, make_model
 from .symbols import NumberSymbol, TestFunction
 
 
@@ -95,21 +95,21 @@ def grid_from_config(cfg: Mapping[str, Any], path: str = "grid") -> EnergyGrid:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _density_from_config(cfg: Any, grid: EnergyGrid, path: str) -> DensityProfile:
+def _density_from_config(cfg: Any, grid: EnergyGrid, path: str) -> np.ndarray:
     if not isinstance(cfg, Mapping):
         raise ConfigError(f"{path}: expected an object")
     kind = _require(cfg, "type", path)
     if kind == "flat":
-        return DensityProfile.flat(_number(cfg.get("value", 1.0), f"{path}.value"), grid.bins)
+        return np.full(grid.bins, _number(cfg.get("value", 1.0), f"{path}.value"))
     if kind == "table":
         values = _require(cfg, "values", path)
         if not isinstance(values, Sequence) or len(values) != grid.bins:
             raise ConfigError(f"{path}.values: expected {grid.bins} entries")
-        return DensityProfile(np.asarray([_number(v, f"{path}.values") for v in values]))
+        return np.asarray([_number(v, f"{path}.values") for v in values])
     raise ConfigError(f"{path}.type: unknown density type {kind!r}")
 
 
-def _vector_from_config(name: str, cfg: Any, grid: EnergyGrid, path: str) -> ShellAmplitude:
+def _vector_from_config(cfg: Any, grid: EnergyGrid, path: str) -> np.ndarray:
     if not isinstance(cfg, Mapping):
         raise ConfigError(f"{path}: expected an object")
     kind = _require(cfg, "type", path)
@@ -139,7 +139,7 @@ def _vector_from_config(name: str, cfg: Any, grid: EnergyGrid, path: str) -> She
             values = values + 1j * np.asarray([_number(v, f"{path}.im") for v in im])
     else:
         raise ConfigError(f"{path}.type: unknown vector type {kind!r}")
-    return ShellAmplitude(name=name, values=np.asarray(values, dtype=complex))
+    return values
 
 
 def model_from_config(cfg: Mapping[str, Any]) -> SpectralModel:
@@ -148,9 +148,7 @@ def model_from_config(cfg: Mapping[str, Any]) -> SpectralModel:
     vectors_cfg = _require(cfg, "vectors", "config")
     if not isinstance(vectors_cfg, Mapping) or not vectors_cfg:
         raise ConfigError("vectors: expected a non-empty object")
-    vectors = [
-        _vector_from_config(name, vcfg, grid, f"vectors.{name}") for name, vcfg in vectors_cfg.items()
-    ]
+    vectors = {name: _vector_from_config(vcfg, grid, f"vectors.{name}") for name, vcfg in vectors_cfg.items()}
     return make_model(grid, density, vectors)
 
 

@@ -116,9 +116,9 @@ def two_point(model: SpectralModel, f: str, g: str, kind: str, tau: float, epsil
     e = model.grid.centers
     w = np.conj(model.amplitude(g)) * model.amplitude(f) * np.exp(1j * tau * e)
     if kind == DENSITY:
-        w = w * model.density.values
+        w = w * model.density
     elif kind == COMMUTATOR:
-        w = w * (1.0 + epsilon * model.density.values)
+        w = w * (1.0 + epsilon * model.density)
     else:
         raise ValueError(f"unknown two-point kind {kind!r}")
     return complex(np.sum(w) * model.grid.delta_e)
@@ -221,7 +221,7 @@ class _PairingFactors:
         lags = np.arange(1 - m, m) * grid.delta_e  # E_b - E_a at lag b - a
         self.lag = [s.phi.fourier((lags - s.omega.omega(grid)) / epsilon) for s in symbols]
         self.support = [_support(t) for t in self.lag]
-        occupation = {DENSITY: model.density.values, COMMUTATOR: 1.0 + epsilon * model.density.values}
+        occupation = {DENSITY: model.density, COMMUTATOR: 1.0 + epsilon * model.density}
         self.kern = {
             (l, j): np.conj(model.amplitude(sj.g)) * model.amplitude(sl.f) * occupation[DENSITY if l <= j else COMMUTATOR]
             for l, sl in enumerate(symbols, start=1)

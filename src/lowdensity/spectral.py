@@ -71,104 +71,49 @@ class EnergyGrid:
         return self.e_min + (np.arange(self.bins) + 0.5) * self.delta_e
 
 
-@dataclass(frozen=True, eq=False)
-class DensityProfile:
-    """Occupation density n(E_a) >= 0 per bin, the state's spectral density."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1:
-            raise ValueError("density values must be a 1-D array")
-        if np.any(vals < 0):
-            raise ValueError("density must be nonnegative")
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def flat(cls, value: float, bins: int) -> "DensityProfile":
-        return cls(np.full(bins, float(value)))
-
-
-@dataclass(frozen=True, eq=False)
-class ShellAmplitude:
-    """Complex amplitude v(E_a) of a one-particle vector on the energy shells.
-
-    The density of states is folded in, so inner products against spectral
-    projections are plain products: <g, P_E f> = conj(v_g(E)) v_f(E).
+def radial_to_shell(grid: EnergyGrid, radial: Callable) -> np.ndarray:
+    """Shell amplitudes of a radial wave function under the dispersion
+    omega(k) = |k|^2: radial is sampled at r = sqrt(E_a), and the spherical
+    shell measure is folded in, so <f, P_E f> = 2 pi sqrt(E) |radial(sqrt(E))|^2.
     """
-
-    name: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        if not self.name:
-            raise ValueError("shell amplitude needs a nonempty name")
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.ndim != 1:
-            raise ValueError("amplitude values must be a 1-D array")
-        object.__setattr__(self, "values", vals)
-
-
-def radial_to_shell(grid: EnergyGrid, radial: Callable, name: str, dos: str = "three_d") -> ShellAmplitude:
-    """Convert a radial wave function to shell amplitudes.
-
-    Parameters
-    ----------
-    radial : callable
-        Radial profile; sampled at sqrt(E_a) for the three_d dispersion
-        omega(k) = |k|^2, or directly at E_a for flat.
-    dos : {"three_d", "flat"}
-        three_d folds in the spherical shell measure so that
-        <f, P_E f> = 2 pi sqrt(E) |radial(sqrt(E))|^2.
-
-    Returns
-    -------
-    ShellAmplitude
-    """
-    e = grid.centers
-    if dos == "three_d":
-        r = np.sqrt(e)
-        vals = np.sqrt(TWO_PI * r) * np.asarray(radial(r), dtype=complex)
-    elif dos == "flat":
-        vals = np.asarray(radial(e), dtype=complex)
-    else:
-        raise ValueError(f"unknown density-of-states mode {dos!r}")
-    return ShellAmplitude(name, vals)
+    r = np.sqrt(grid.centers)
+    return np.sqrt(TWO_PI * r) * np.asarray(radial(r), dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralModel:
-    """Grid, occupation density, and named shell amplitudes."""
+    """Grid, occupation density n(E_a) >= 0 per bin, and named complex shell
+    amplitudes v(E_a) with the density of states folded in, so inner products
+    against spectral projections are plain products:
+    <g, P_E f> = conj(v_g(E)) v_f(E).  Build it with make_model."""
 
     grid: EnergyGrid
-    density: DensityProfile
-    vectors: Mapping[str, ShellAmplitude]
+    density: np.ndarray
+    vectors: Mapping[str, np.ndarray]
 
     def amplitude(self, name: str) -> np.ndarray:
         try:
-            return self.vectors[name].values
+            return self.vectors[name]
         except KeyError:
             raise KeyError(f"unknown vector {name!r}; model has {sorted(self.vectors)}") from None
 
 
-def make_model(grid: EnergyGrid, density: DensityProfile, vectors) -> SpectralModel:
-    """Validate shapes and assemble a SpectralModel.
-
-    `vectors` is either a mapping name -> array-like or an iterable of
-    ShellAmplitude.
-    """
-    if len(density.values) != grid.bins:
-        raise ValueError("density length does not match grid bins")
-    table: dict[str, ShellAmplitude] = {}
-    items = vectors.items() if isinstance(vectors, Mapping) else ((v.name, v) for v in vectors)
-    for name, v in items:
-        amp = v if isinstance(v, ShellAmplitude) else ShellAmplitude(name, np.asarray(v, dtype=complex))
-        if amp.name != name:
-            raise ValueError(f"vector name mismatch: {name!r} vs {amp.name!r}")
-        if len(amp.values) != grid.bins:
-            raise ValueError(f"vector {name!r} length does not match grid bins")
-        table[name] = amp
+def make_model(grid: EnergyGrid, density, vectors: Mapping) -> SpectralModel:
+    """Check every model array and assemble a SpectralModel: the density is a
+    nonnegative real 1-D array and each named vector a complex 1-D array,
+    all with one entry per bin."""
+    density = np.asarray(density, dtype=float)
+    if density.shape != (grid.bins,):
+        raise ValueError(f"density must be a 1-D array of {grid.bins} entries")
+    if np.any(density < 0):
+        raise ValueError("density must be nonnegative")
+    table: dict[str, np.ndarray] = {}
+    for name, v in vectors.items():
+        if not name:
+            raise ValueError("every vector needs a nonempty name")
+        table[name] = np.asarray(v, dtype=complex)
+        if table[name].shape != (grid.bins,):
+            raise ValueError(f"vector {name!r} must be a 1-D array of {grid.bins} entries")
     return SpectralModel(grid=grid, density=density, vectors=table)
 
 
@@ -216,7 +161,7 @@ def state_expectation(model: SpectralModel, kernel: ShellKernel) -> complex:
     """Tr(n_hat T) = sum_a n(E_a) K(E_a, E_a) delta_e."""
     if kernel.grid != model.grid:
         raise ValueError("kernel grid does not match model grid")
-    return complex(np.sum(model.density.values * kernel.diagonal()) * model.grid.delta_e)
+    return complex(np.sum(model.density * kernel.diagonal()) * model.grid.delta_e)
 
 
 @dataclass(frozen=True)
@@ -268,7 +213,7 @@ def limit_truncated_coefficient(model: SpectralModel, kernels, freqs) -> LimitCo
     # the bins a whose every read a + w stays on the grid form one run lo <= a < hi
     lo = -min(shifts)
     hi = max(lo, model.grid.bins - max(shifts))
-    acc = model.density.values[lo:hi].astype(complex)
+    acc = model.density[lo:hi].astype(complex)
     for l in range(n):
         rows = slice(lo + shifts[l], hi + shifts[l])
         cols = slice(lo + shifts[l + 1], hi + shifts[l + 1])

@@ -25,7 +25,6 @@ from .finite_eps import _PairingFactors, _check_smeared_order
 from .partitions import _check_arity, _first_block_transform, _subsets
 from .report import ConvergenceReport, SweepRow
 from .spectral import (
-    DensityProfile,
     EnergyGrid,
     ShellKernel,
     SpectralModel,
@@ -113,7 +112,7 @@ def reference_box(height: float = 1.0 / TWO_PI, width: float = TWO_PI) -> TestFu
 
 def poisson_model(lam: float, grid: EnergyGrid) -> SpectralModel:
     """Unit density with the hard-shell amplitude chi_[0, lambda) from the
-    radial profile (2 pi r)^(-1/2) chi(r <= sqrt(lambda)) in three_d mode.
+    radial profile (2 pi r)^(-1/2) chi(r <= sqrt(lambda)) on E = r^2 shells.
 
     lambda must land on a bin edge; otherwise the shell sum would misstate
     the interval length and the exact cumulants would drift.
@@ -129,8 +128,7 @@ def poisson_model(lam: float, grid: EnergyGrid) -> SpectralModel:
         inside = (r * r) < lam
         return np.where(inside, 1.0 / np.sqrt(TWO_PI * r), 0.0)
 
-    shell = radial_to_shell(grid, radial, name="shell", dos="three_d")
-    return make_model(grid, DensityProfile.flat(1.0, grid.bins), [shell])
+    return make_model(grid, np.ones(grid.bins), {"shell": radial_to_shell(grid, radial)})
 
 
 def poisson_cumulants(lam: float, l_max: int, grid: EnergyGrid, omega_index: int = 0) -> list[complex]:

@@ -469,7 +469,7 @@ def _atom_values(atoms, model) -> np.ndarray:
         if kind == "ip":
             vals = vals * np.conj(model.amplitude(a)) * model.amplitude(b)
         elif kind == "ipn":
-            vals = vals * np.conj(model.amplitude(a)) * model.density.values * model.amplitude(b)
+            vals = vals * np.conj(model.amplitude(a)) * model.density * model.amplitude(b)
         else:
             raise ValueError(f"unknown atom kind {kind!r}")
     return vals

@@ -21,10 +21,8 @@ import numpy as np
 
 from lowdensity import (
     Coefficient,
-    DensityProfile,
     EnergyGrid,
     NumberSymbol,
-    ShellAmplitude,
     TestFunction,
     VacuumExpectation,
     VacuumTerm,
@@ -48,20 +46,17 @@ def gaussian_shell_model(bins=128, e_max=4.0, density=1.0):
     """Two smooth shell amplitudes on a flat state; the workhorse model."""
     grid = EnergyGrid(e_max=e_max, bins=bins)
     e = grid.centers
-    vectors = [
-        ShellAmplitude("a", (np.exp(-((e - 1.2) ** 2) / (2 * 0.35**2))).astype(complex)),
-        ShellAmplitude("b", (0.8 * np.exp(-((e - 2.1) ** 2) / (2 * 0.5**2))).astype(complex)),
-    ]
-    return make_model(grid, DensityProfile.flat(density, bins), vectors)
+    vectors = {
+        "a": np.exp(-((e - 1.2) ** 2) / (2 * 0.35**2)),
+        "b": 0.8 * np.exp(-((e - 2.1) ** 2) / (2 * 0.5**2)),
+    }
+    return make_model(grid, np.full(bins, float(density)), vectors)
 
 
 def random_model(rng, bins=12, e_max=3.0, names=("a", "b")):
     grid = EnergyGrid(e_max=e_max, bins=bins)
-    density = DensityProfile(rng.uniform(0.1, 1.5, bins))
-    vectors = [
-        ShellAmplitude(nm, (rng.normal(size=bins) + 1j * rng.normal(size=bins)))
-        for nm in names
-    ]
+    density = rng.uniform(0.1, 1.5, bins)
+    vectors = {nm: rng.normal(size=bins) + 1j * rng.normal(size=bins) for nm in names}
     return make_model(grid, density, vectors)
 
 
@@ -125,7 +120,7 @@ def pairing_oracle(model, symbols, diagram, epsilon):
             j = diagram.image(l)
             a = assign[l - 1]
             pair = np.conj(model.amplitude(symbols[j - 1].g)[a]) * model.amplitude(symbols[l - 1].f)[a]
-            occ = model.density.values[a]
+            occ = model.density[a]
             term *= pair * (occ if l <= j else 1.0 + epsilon * occ)
         for m in range(1, n + 1):
             prev = diagram.preimage(m)
@@ -150,7 +145,7 @@ def pairing_chain_oracle(model, symbols, diagram, epsilon):
     def kern(l):
         j = diagram.image(l)
         base = np.conj(model.amplitude(symbols[j - 1].g)) * model.amplitude(symbols[l - 1].f)
-        occ = model.density.values
+        occ = model.density
         return base * (occ if l <= j else 1.0 + epsilon * occ)
 
     value = complex(epsilon ** (diagram.k - n))
@@ -237,7 +232,7 @@ def coefficient_oracle(model, kernels, s_indices):
         return 0j
     total = 0j
     for a in range(grid.bins):
-        term = complex(model.density.values[a])
+        term = complex(model.density[a])
         ok = True
         for l in range(n):
             row, col = a + w[l], a + w[l + 1]

@@ -40,7 +40,7 @@ from lowdensity import (
     truncated_smeared,
     vacuum_expectation,
 )
-from lowdensity.spectral import DensityProfile, EnergyGrid, ShellAmplitude, TWO_PI
+from lowdensity.spectral import EnergyGrid, TWO_PI
 from lowdensity.partitions import _subsets
 from lowdensity.symbols import product_integral
 
@@ -57,8 +57,7 @@ def orthogonal_sector_model(bins=32, e_max=4.0):
     e = grid.centers
     lo = np.where(e < 2.0, np.exp(-((e - 1.0) ** 2)), 0.0).astype(complex)
     hi = np.where(e >= 2.0, np.exp(-((e - 3.0) ** 2)), 0.0).astype(complex)
-    vectors = [ShellAmplitude("g0", lo), ShellAmplitude("g1", hi)]
-    return make_model(grid, DensityProfile.flat(1.0, bins), vectors)
+    return make_model(grid, np.ones(bins), {"g0": lo, "g1": hi})
 
 
 def test_criterion_01_order_one_exactness():

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from lowdensity.cli import build_parser, main
+from lowdensity.config import default_config
 from lowdensity.report import CSV_COLUMNS
 
 CONFIG = {
@@ -167,11 +168,22 @@ def test_poisson_moments_above_cap_exit_one(capsys):
 def test_poisson_moments_below_one_exit_one(capsys):
     code = main(["poisson", "--lambda", "1.0", "--moments", "0", "--grid-bins", "32", "--e-max", "4", "--assert"])
     assert code == 1
-    assert "--moments must be at least 1, got 0" in capsys.readouterr().err
+    assert "argument --moments: expected a positive integer, got '0'" in capsys.readouterr().err
 
 
 def test_poisson_nonzero_omega_zeros(capsys):
     assert main(["poisson", "--lambda", "1.0", "--omega-index", "2", "--grid-bins", "32", "--e-max", "4", "--assert"]) == 0
+
+
+def test_poisson_nonzero_omega_writes_zero_moments(tmp_path):
+    # off the frequency gate every cumulant is exactly 0, so every moment is too
+    out = tmp_path / "poisson.csv"
+    assert main(["poisson", "--lambda", "0.5,1.0", "--omega-index", "2", "--moments", "3", "--grid-bins", "32",
+                 "--e-max", "4", "--out", str(out), "--assert"]) == 0
+    lines = out.read_text().splitlines()
+    moments = [line.split(",") for line in lines[1:] if line.split(",")[1] == "moment"]
+    assert [(r[0], r[2]) for r in moments] == [(lam, str(n)) for lam in ("0.5", "1.0") for n in (1, 2, 3)]
+    assert all(r[3:] == ["0.0", "0.0", "0.0", "0.0"] for r in moments)
 
 
 def test_independence_groups_and_assert(tmp_path):
@@ -388,12 +400,17 @@ TABLES = {
 }
 
 
+# the commands that read a model, and so the only ones that take --config
+MODEL_COMMANDS = {"limit", "sweep", "free-check", "independence", "wn-expect"}
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("command", sorted(TABLES))
 def test_every_command_writes_table_and_sidecar(command, fmt, config_path, tmp_path, capsys):
     extra, header = TABLES[command]
     out = tmp_path / f"table.{fmt}"
-    assert main([command, "--config", config_path, *extra, "--format", fmt, "--out", str(out)]) == 0
+    config = ["--config", config_path] if command in MODEL_COMMANDS else []
+    assert main([command, *config, *extra, "--format", fmt, "--out", str(out)]) == 0
     if fmt == "csv":
         assert out.read_text().splitlines()[0] == header
     else:
@@ -405,6 +422,15 @@ def test_every_command_writes_table_and_sidecar(command, fmt, config_path, tmp_p
             assert list(doc["rows"][0]) == sorted(header.split(","))
     meta = json.loads((tmp_path / f"table.{fmt}.meta.json").read_text())
     assert meta["command"] == command
+    assert meta.get("config") == (config_path if command in MODEL_COMMANDS else None)
+
+
+@pytest.mark.parametrize("command", sorted(set(TABLES) - MODEL_COMMANDS))
+def test_commands_without_a_model_refuse_config(command, config_path, capsys):
+    assert main([command, "--config", config_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --config" in captured.err
 
 
 def test_symbols_file_overrides_config(config_path, tmp_path, capsys):
@@ -450,6 +476,49 @@ NON_FINITE = {
 def test_non_finite_epsilons_exit_one(command, value, capsys):
     assert main([arg.format(value) for arg in NON_FINITE[command]] + ["--assert"]) == 1
     assert "expected finite numbers" in capsys.readouterr().err
+
+
+# scales and counts that mean nothing at or below zero, each refused before any output
+NON_POSITIVE = {
+    "sweep-eps-zero": ["sweep", "--epsilons", "0.1,0"],
+    "independence-eps-negative": ["independence", "--epsilons", "0.2,-0.1"],
+    "delta-lemma-eps-zero": ["delta-lemma", "--epsilons", "0"],
+    "delta-lemma-eps-negative": ["delta-lemma", "--epsilons=-0.1,-0.05"],
+    "free-check-random": ["free-check", "--random", "-3"],
+    "poisson-orders": ["poisson", "--orders", "0"],
+    "poisson-moments": ["poisson", "--moments", "0"],
+    "diagrams-n": ["diagrams", "--n", "0"],
+    "bell-n": ["bell", "--n", "0"],
+    "wn-expect-order": ["wn-expect", "--order", "0"],
+}
+
+
+@pytest.mark.parametrize("case", list(NON_POSITIVE))
+def test_non_positive_scales_and_counts_exit_one(case, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main(NON_POSITIVE[case] + ["--assert", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected positive numbers" in captured.err or "expected a positive integer" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_assert_fails_on_a_zero_limit(tmp_path, capsys):
+    # both symbols off the frequency gate: the limit is exactly 0, so the
+    # relative error is undefined on every row and the monotone claim fails
+    cfg = default_config()
+    cfg["grid"]["bins"] = 640
+    for symbol in cfg["symbols"]:
+        symbol["omega_index"] = 1
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "t.csv"
+    assert main(["sweep", "--config", str(path), "--assert", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "rel_err=nan" in captured.out
+    assert "relative error is undefined because the limit is 0" in captured.err
+    assert out.read_text().splitlines()[0] == REPORT_HEADER
+    assert json.loads((tmp_path / "t.csv.meta.json").read_text())["command"] == "sweep"
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -50,12 +50,12 @@ def test_two_point_hand_loop(rng):
     va, vb = model.amplitude("a"), model.amplitude("b")
     tau, eps = 0.63, 0.1
     want_density = sum(
-        model.density.values[i] * np.conj(vb[i]) * va[i] * np.exp(1j * tau * e[i]) * model.grid.delta_e
+        model.density[i] * np.conj(vb[i]) * va[i] * np.exp(1j * tau * e[i]) * model.grid.delta_e
         for i in range(7)
     )
     close(two_point(model, "a", "b", DENSITY, tau, eps), want_density, rel=1e-12)
     want_comm = sum(
-        (1.0 + eps * model.density.values[i]) * np.conj(vb[i]) * va[i] * np.exp(1j * tau * e[i]) * model.grid.delta_e
+        (1.0 + eps * model.density[i]) * np.conj(vb[i]) * va[i] * np.exp(1j * tau * e[i]) * model.grid.delta_e
         for i in range(7)
     )
     close(two_point(model, "a", "b", COMMUTATOR, tau, eps), want_comm, rel=1e-12)

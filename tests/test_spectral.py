@@ -8,11 +8,9 @@ import pytest
 
 from helpers import coefficient_oracle, gaussian_shell_model, random_model, random_symbols
 from lowdensity import (
-    DensityProfile,
     EnergyGrid,
     FrequencyIndex,
     NumberSymbol,
-    ShellAmplitude,
     ShellKernel,
     TestFunction,
     free_moment,
@@ -42,14 +40,19 @@ def test_grid_validation_and_centers():
 
 
 def test_density_and_amplitude_validation():
-    with pytest.raises(ValueError):
-        DensityProfile(np.array([0.5, -0.1]))
-    with pytest.raises(ValueError):
-        ShellAmplitude("a", np.zeros((2, 2)))
+    # make_model holds every model check: each bad array raises ValueError
     grid = EnergyGrid(e_max=1.0, bins=4)
-    with pytest.raises(ValueError):
-        make_model(grid, DensityProfile.flat(1.0, 4), [ShellAmplitude("a", np.ones(3))])
-    model = make_model(grid, DensityProfile.flat(1.0, 4), [ShellAmplitude("a", np.ones(4))])
+    for density, vectors, message in [
+        (np.ones(4), {"a": np.zeros((4, 4))}, "vector 'a' must be a 1-D array"),
+        (np.ones(4), {"a": np.ones(3)}, "vector 'a' must be a 1-D array of 4 entries"),
+        (np.ones(3), {"a": np.ones(4)}, "density must be a 1-D array of 4 entries"),
+        (np.array([0.5, -0.1, 1.0, 1.0]), {"a": np.ones(4)}, "density must be nonnegative"),
+        (np.ones(4), {"": np.ones(4)}, "nonempty name"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            make_model(grid, density, vectors)
+    model = make_model(grid, [1, 2, 3, 4], {"a": np.ones(4)})
+    assert model.density.dtype == float and model.amplitude("a").dtype == complex
     with pytest.raises(KeyError):
         model.amplitude("missing")
 
@@ -58,12 +61,8 @@ def test_radial_to_shell_three_d_jacobian():
     # E = r^2 shells: |v(E)|^2 = 2 pi sqrt(E) |a(sqrt(E))|^2, so the radial
     # profile (2 pi r)^(-1/2) gives the flat unit shell function.
     grid = EnergyGrid(e_max=1.0, bins=10)
-    shell = radial_to_shell(grid, lambda r: 1.0 / np.sqrt(TWO_PI * r), name="s", dos="three_d")
-    assert np.allclose(np.abs(shell.values) ** 2, 1.0, atol=1e-12)
-    flat = radial_to_shell(grid, lambda r: np.ones_like(r), name="s", dos="flat")
-    assert np.allclose(flat.values, 1.0)
-    with pytest.raises(ValueError):
-        radial_to_shell(grid, lambda r: r, name="s", dos="spherical")
+    shell = radial_to_shell(grid, lambda r: 1.0 / np.sqrt(TWO_PI * r))
+    assert np.allclose(np.abs(shell) ** 2, 1.0, atol=1e-12)
 
 
 def test_rank_one_kernel_entries():
@@ -112,7 +111,7 @@ def test_state_expectation_hand_sum():
     model = random_model(rng, bins=5)
     kern = rank_one_kernel(model, "a", "a")
     expected = sum(
-        model.density.values[a] * abs(model.amplitude("a")[a]) ** 2 * model.grid.delta_e
+        model.density[a] * abs(model.amplitude("a")[a]) ** 2 * model.grid.delta_e
         for a in range(5)
     )
     assert state_expectation(model, kern) == pytest.approx(expected)
@@ -160,12 +159,9 @@ def test_limit_coefficient_cyclic_under_rotation_with_flat_density(rng):
     # With a scalar density the trace chain is invariant under rotating the
     # symbols one step (frequencies rotate along and keep a zero sum).
     grid = EnergyGrid(e_max=3.0, bins=24)
-    density = DensityProfile.flat(0.7, 24)
+    density = np.full(24, 0.7)
     for trial in range(10):
-        vecs = [
-            ShellAmplitude(nm, rng.normal(size=24) + 1j * rng.normal(size=24))
-            for nm in ("a", "b", "c")
-        ]
+        vecs = {nm: rng.normal(size=24) + 1j * rng.normal(size=24) for nm in ("a", "b", "c")}
         model = make_model(grid, density, vecs)
         pairs = [("a", "b"), ("b", "c"), ("c", "a")]
         s = [int(v) for v in rng.integers(-2, 3, size=2)]
@@ -182,7 +178,7 @@ def test_limit_coefficient_bilinear_in_each_slot(rng):
     alpha, beta = 0.7 - 0.2j, 1.3 + 0.5j
     # |m><b| = alpha |a><b| + beta |c><b| for the model vector m = alpha a + beta c
     vectors = dict(base.vectors)
-    vectors["m"] = ShellAmplitude("m", alpha * base.amplitude("a") + beta * base.amplitude("c"))
+    vectors["m"] = alpha * base.amplitude("a") + beta * base.amplitude("c")
     model = make_model(base.grid, base.density, vectors)
     kerns = [rank_one_kernel(model, "a", "b"), rank_one_kernel(model, "b", "c")]
     freqs = [FrequencyIndex(1), FrequencyIndex(-1)]

@@ -119,7 +119,7 @@ def test_limit_cumulant_order_one_and_gate():
     kern = rank_one_kernel(model, "a", "a")
     phi = TestFunction.gaussian(width=0.9)
     k1 = limit_cumulant(model, kern, FrequencyIndex(0), phi, 1)
-    want = phi.integral() * np.sum(model.density.values * kern.diagonal()) * model.grid.delta_e
+    want = phi.integral() * np.sum(model.density * kern.diagonal()) * model.grid.delta_e
     assert k1 == pytest.approx(complex(want), rel=1e-12)
     assert limit_cumulant(model, kern, FrequencyIndex(2), phi, 3) == 0j
     with pytest.raises(ValueError):
@@ -131,7 +131,7 @@ def test_limit_cumulant_hand_formula_order_three():
     kern = rank_one_kernel(model, "a", "b")
     phi = TestFunction.indicator(0.0, 2.0, 0.5)
     got = limit_cumulant(model, kern, FrequencyIndex(0), phi, 3)
-    shell = np.sum(model.density.values * kern.diagonal() ** 3) * model.grid.delta_e
+    shell = np.sum(model.density * kern.diagonal() ** 3) * model.grid.delta_e
     want = TWO_PI**2 * product_integral([phi, phi, phi]) * shell
     assert got == pytest.approx(complex(want), rel=1e-12)
 
