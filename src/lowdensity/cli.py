@@ -220,6 +220,8 @@ def cmd_independence(args):
             index_groups = [[int(i) for i in part.split(",") if i.strip()] for part in args.groups.split(";")]
         except ValueError:
             raise ConfigError(f"--groups: expected '1,2;3' style indices, got {args.groups!r}")
+        if not all(index_groups):
+            raise ConfigError(f"--groups: every group needs at least one symbol index, got {args.groups!r}")
         seen = [i for g in index_groups for i in g]
         if sorted(seen) != list(range(1, len(symbols) + 1)):
             raise ConfigError(f"--groups must use each symbol index 1..{len(symbols)} exactly once")

@@ -45,6 +45,37 @@ of r 2^-60, so the cut loses no more than the rounding and needs no
 diagnostic.  The FFTs are numpy's pocketfft; scipy is imported only by the
 adaptive quadrature of delta_lemma_check.
 
+The support that makes a Gaussian lag band wide makes its spectrum
+narrow, so a cycle of r >= 3 links can also be contracted on Fourier
+modes.  The lag route already embeds each link in a circulant of length
+L = _fft_len(2M - 1), with the cut lag vector at index d mod L.  Every
+circulant is diagonal in the Fourier basis, with eigenvalues c_j = fft of
+that placed vector, and every zero-padded diagonal kernel turns there into
+the circulant of K_i = fft(kern_i, L), so the cycle value is exactly
+
+    (delta_e/L)^r trace(B_1 ... B_r),
+    B_i[mu, nu] = K_i((nu - mu) mod L) c_{l_{i+1}}(nu),
+
+with mu over the modes of l_i and nu over those of l_{i+1}.  Each slot keeps
+the modes with |c_j| > MODE_CUT sum|t_cut| = 2^-52 sum|t_cut|; for Gaussian
+phi that is about 2 * 9.1 sigma delta_e L/(2 pi eps) modes, narrow exactly
+where the lag band is wide.  Dropping the modes below the cut moves a
+circulant product x C by at most 2^-52 sum|t_cut| ||x||_2 in 2-norm, while
+the same product by FFT already carries a normwise rounding error of a few
+2^-53 log2(L) max|c_j| ||x||_2 <= 2^-53 log2(L) sum|t_cut| ||x||_2
+(N. J. Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+SIAM 2002, ch. 24): the dropped modes sit at the FFT's own rounding level,
+which the lag route's products already carry, so the mode cut needs no
+diagnostic either.  The mode chain costs r - 2 dense products of mode-set
+sized matrices.  Each r >= 3 cycle compares the FFT work of the lag plan it
+builds anyway, rows times sum L_i log2 L_i, with _MODE_COST times the mode
+chain's multiply-adds and takes the cheaper route: on a resolved grid the
+coarse eps rows, whose bands are widest, go to the mode route and the
+finest stay on the lag route.  A 2-cycle takes no FFT, and a cycle with a
+link whose support is the whole lag range (indicator phi's sinc) has no
+narrow spectrum; both stay on the lag route, and the latter is the
+unbanded contraction bit for bit.
+
 Every smeared sum takes one path.  Lag vectors, their supports, kernel
 vectors and resolution warnings are built once per (model, symbols, eps),
 and a slot subset reads them under its own slot numbers.  The truncated
@@ -79,6 +110,18 @@ BAND_CUT = 2.0**-60  # lag mass a lag vector's support may drop, as a share of s
 # rows per FFT block: a block's work arrays span its column windows, at
 # most _ROW_BLOCK x _fft_len(2M - 1) when a support is the whole lag range
 _ROW_BLOCK = 128
+MODE_CUT = 2.0**-52  # spectrum modulus, as a share of sum |t|, a kept mode of a cut lag vector exceeds
+# weight of one mode-chain multiply-add against one unit of lag-route FFT
+# work (a row times L log2 L per FFT product).  Measured per cycle on a
+# 2-core x86 box (numpy 2.4 with pocketfft and 2-thread OpenBLAS 0.3.31,
+# best of 7), the routes break even at a weight of 0.037-0.060 for 270-1081
+# modes (the default model repeated to n = 4, M = 800-3200, eps =
+# 0.02-0.16) and of 0.07-0.2 below 270 modes, where gathering the links
+# costs more than the products.  At 0.1 a large cycle takes the mode route
+# only where it is predicted about twice as fast, which keeps the
+# north-star eps = 0.04 row (FFT work 0.05-0.07 of the multiply-adds) on
+# the lag route
+_MODE_COST = 0.1
 
 
 def _fft_len(target: int) -> int:
@@ -204,8 +247,9 @@ class _PairingFactors:
         t_m[d] = ft_m((d delta_e - omega_m)/eps),   d = -(M-1) .. M-1,
 
     stored at index d + M - 1, its support (see _support), and the kernel
-    vectors kern(l, j) of every slot pair.  An increasing slot subset reads
-    the same vectors as if built from its own symbols.
+    vectors kern(l, j) of every slot pair; the mode route's kept modes per
+    slot and kernel spectra per pair are built on first use.  An increasing
+    slot subset reads the same vectors as if built from its own symbols.
     """
 
     def __init__(self, model: SpectralModel, symbols: tuple, epsilon: float):
@@ -227,16 +271,30 @@ class _PairingFactors:
             for l, sl in enumerate(symbols, start=1)
             for j, sj in enumerate(symbols, start=1)
         }
+        self._modes = None  # see _mode_sets
+        self._kern_hat: dict[tuple[int, int], np.ndarray] = {}  # fft(kern(l, j), L), per pair on first use
 
     def cycle_value(self, cycle: tuple[int, ...]) -> complex:
         """delta_e^r trace(D_1 T_1 ... D_r T_r) for the cycle l_1 -> .. -> l_r,
         with D_i = diag(kern(l_i, l_{i+1})) and T_i[a, b] = t_{l_{i+1}}[b - a],
-        each T_i cut to the lags of its support."""
-        m, r = self.m, len(cycle)
+        each T_i cut to the lags of its support, by the lag route or, for an
+        r >= 3 cycle it makes cheaper, the mode route (module docstring)."""
+        if len(cycle) == 1:
+            kern = self.kern[(cycle[0], cycle[0])]
+            return self.delta_e * np.sum(kern) * self.lag[cycle[0] - 1][self.m - 1]
+        plan, sizes = self._lag_plan(cycle)
+        if not plan:
+            return 0j
+        if self._takes_mode_route(cycle, plan, sizes):
+            return self._mode_cycle(cycle)
+        return self._lag_cycle(cycle, plan, sizes)
+
+    def _lag_plan(self, cycle: tuple[int, ...]):
+        """The lag route's row blocks (r0, r1, windows) of an r >= 2 cycle
+        and the FFT length of each middle link; a block whose windows run
+        empty is left out."""
+        m = self.m
         targets = cycle[1:] + cycle[:1]
-        kern = [self.kern[pair] for pair in zip(cycle, targets)]
-        if r == 1:
-            return self.delta_e * np.sum(kern[0]) * self.lag[cycle[0] - 1][m - 1]
         band = [self.support[j - 1] for j in targets]  # an empty one leaves every window empty
         # back[i]: the column offsets, relative to a row, that links i+1..r-1
         # can still carry back onto that row
@@ -257,20 +315,27 @@ class _PairingFactors:
                 windows.append((c0, c1))
             else:
                 plan.append((r0, r1, windows))
-        if not plan:
-            return 0j
         # middle link i maps window p to window q by a linear convolution with
         # the cut lag vector, output k at column p0 + lo_i + k; a circulant
         # keeps the outputs on q unwrapped when it reaches past column q1 - 1
         # and spans from column q0 to the last output, p1 - 1 + hi_i
         sizes = []
-        for i in range(1, r - 1):
+        for i in range(1, len(cycle) - 1):
             lo, hi = band[i]
             need = 0
             for _, _, w in plan:
                 (p0, p1), (q0, q1) = w[i - 1], w[i]
                 need = max(need, q1 - p0 - lo, p1 + hi - q0)
             sizes.append(_fft_len(need))
+        return plan, sizes
+
+    def _lag_cycle(self, cycle: tuple[int, ...], plan, sizes) -> complex:
+        """The lag route: r - 2 Toeplitz products by FFT per row block of
+        the plan, then a Hadamard sum with the closing link."""
+        m, r = self.m, len(cycle)
+        targets = cycle[1:] + cycle[:1]
+        kern = [self.kern[pair] for pair in zip(cycle, targets)]
+        band = [self.support[j - 1] for j in targets]
         # zero-copy Toeplitz views: window[i, j] = t[i + j - (M-1)]
         first = sliding_window_view(self.lag[targets[0] - 1], m)[::-1]  # T[a, b] = t[b - a]
         last = sliding_window_view(self.lag[targets[-1] - 1], m)[:, ::-1]  # T^T[a, b] = t[a - b]
@@ -306,6 +371,55 @@ class _PairingFactors:
             total += np.sum(np.multiply(x, last[r0:r1, c0:c1], out=x))
         return self.delta_e**r * total
 
+    def _mode_sets(self):
+        """The circulant length L and, per target slot, the kept modes of
+        its cut lag vector's circulant spectrum with their values, built on
+        first use."""
+        if self._modes is None:
+            m = self.m
+            size = _fft_len(2 * m - 1)
+            sets = []
+            for t, (lo, hi) in zip(self.lag, self.support):
+                cut = np.zeros(size, dtype=complex)
+                cut[np.arange(lo, hi + 1) % size] = t[lo + m - 1 : hi + m]  # lag d at index d mod L
+                spectrum = np.fft.fft(cut)
+                keep = np.flatnonzero(np.abs(spectrum) > MODE_CUT * np.sum(np.abs(cut)))
+                sets.append((keep, spectrum[keep]))
+            self._modes = (size, sets)
+        return self._modes
+
+    def _takes_mode_route(self, cycle: tuple[int, ...], plan, sizes) -> bool:
+        """Whether the mode chain's multiply-adds, weighted by _MODE_COST,
+        undercut the lag plan's FFT work.  2-cycles, which take no FFT, and
+        cycles with a link over the whole lag range keep the lag route."""
+        full = (1 - self.m, self.m - 1)
+        if len(cycle) < 3 or any(self.support[j - 1] == full for j in cycle):
+            return False
+        fft_work = sum(r1 - r0 for r0, r1, _ in plan) * sum(size * np.log2(size) for size in sizes)
+        _, sets = self._mode_sets()
+        s = [len(sets[j - 1][0]) for j in cycle[1:] + cycle[:1]]
+        mode_work = s[-1] * sum(s[i - 1] * s[i] for i in range(1, len(s) - 1))
+        return _MODE_COST * mode_work < fft_work
+
+    def _mode_cycle(self, cycle: tuple[int, ...]) -> complex:
+        """The mode route: (delta_e/L)^r trace(B_1 ... B_r) with
+        B_i[mu, nu] = K_i((nu - mu) mod L) c_{l_{i+1}}(nu), mu over the kept
+        modes of l_i and nu over those of l_{i+1}."""
+        size, sets = self._mode_sets()
+
+        def link(l, j):
+            if (l, j) not in self._kern_hat:
+                self._kern_hat[(l, j)] = np.fft.fft(self.kern[(l, j)], size)
+            rows, (cols, spectrum) = sets[l - 1][0], sets[j - 1]
+            return np.take(self._kern_hat[(l, j)], cols[None, :] - rows[:, None], mode="wrap") * spectrum
+
+        pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
+        x = link(*pairs[0])
+        for pair in pairs[1:-1]:
+            x = x @ link(*pair)
+        # trace(x B) without the off-diagonal of the product
+        return (self.delta_e / size) ** len(cycle) * complex(np.sum(x * link(*pairs[-1]).T))
+
     def single_cycles(self, subset: tuple[int, ...]):
         """(diagram, eps^(k-r) times its cycle value) for every single-cycle
         diagram on the increasing slot subset, r = len(subset), in
@@ -335,8 +449,10 @@ def pairing_term_smeared(model: SpectralModel, symbols, diagram: PairDiagram, ep
     vector per target slot cut to its support (module docstring): a 2-cycle
     is one Hadamard sum, a longer one r - 2 Toeplitz products by FFT
     followed by a Hadamard sum with the last link, over row blocks and the
-    column windows each block's rows reach.  Each call builds its own
-    pairing factors; the smeared sums below never call it.
+    column windows each block's rows reach, or, where that costs less, a
+    chain of dense products on the Fourier modes its lag vectors keep.  Each
+    call builds its own pairing factors; the smeared sums below never call
+    it.
     """
     symbols = tuple(symbols)
     n = len(symbols)

@@ -265,6 +265,22 @@ def test_independence_bad_groups(config_path, capsys):
     assert main(["independence", "--config", config_path, "--groups", "1;x"]) == 1
 
 
+def test_independence_empty_group_exits_one(tmp_path, config_path):
+    # an empty block once reached the probe, which averaged an empty group's
+    # time centres (two numpy RuntimeWarnings) and then failed on max([])
+    out = tmp_path / "probe.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "lowdensity", "independence", "--config", config_path, "--groups", "1,2;", "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "Warning" not in proc.stderr
+    assert "--groups: every group needs at least one symbol index" in proc.stderr
+    assert proc.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+
 def test_wn_expect_pairs_and_assert(capsys):
     assert main(["wn-expect", "--pairs", "a:b,b:a", "--assert"]) == 0
     out = capsys.readouterr().out

@@ -29,6 +29,7 @@ from lowdensity import (
     enumerate_pair_diagrams,
     enumerate_set_partitions,
     independence_probe,
+    irreducible_diagrams,
     limit_truncated_smeared,
     pairing_term_smeared,
     rank_one_kernel,
@@ -37,7 +38,7 @@ from lowdensity import (
     truncated_from_full,
     truncated_smeared,
 )
-from lowdensity.finite_eps import BAND_CUT, COMMUTATOR, DENSITY, _fft_len, _PairingFactors, two_point
+from lowdensity.finite_eps import BAND_CUT, COMMUTATOR, DENSITY, MODE_CUT, NYQUIST_MARGIN, _fft_len, _PairingFactors, two_point
 
 
 def close(got, want, rel=1e-9):
@@ -354,6 +355,88 @@ def test_lag_support_cut():
         assert factors.cycle_value(cycle) == full_lag_cycle_value(factors, cycle)
     d = PairDiagram((2, 3, 4, 1))  # the 4-cycle (1 2 3 4)
     close(factors.epsilon ** (d.k - 4) * factors.cycle_value((1, 2, 3, 4)), pairing_chain_oracle(model, symbols, d, 0.05), rel=1e-12)
+
+
+# the lag and mode routes of one cycle, each called on its own; the flag puts
+# a symbol's time centre on the Nyquist edge delta_e*|c|/eps = pi/2, and
+# shifts s = -+110 leave those slots' lag vectors identically zero at M = 37
+# and their mode sets empty
+@pytest.mark.parametrize("bins", [37, 128, 201])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    eps=st.floats(0.02, 0.5),
+    specs=st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b"]),
+            st.sampled_from(["a", "b"]),
+            st.one_of(st.integers(-3, 3), st.sampled_from([-110, 110])),
+            st.sampled_from(["gaussian", "indicator"]),
+            st.floats(-0.5, 0.5),
+            st.floats(0.5, 1.5),
+            st.booleans(),
+        ),
+        min_size=4,
+        max_size=4,
+    ),
+)
+@example(seed=5, eps=0.2, specs=[("a", "b", 2, "gaussian", 0.3, 0.9, False), ("b", "a", -1, "gaussian", -0.2, 1.4, True),
+                                 ("a", "a", 0, "gaussian", 0.4, 1.0, False), ("b", "b", -1, "gaussian", -0.1, 0.8, True)])
+@example(seed=6, eps=0.02, specs=[("a", "b", -110, "gaussian", 0.1, 0.9, False), ("b", "a", 110, "gaussian", -0.3, 1.2, False),
+                                  ("a", "a", 0, "gaussian", 0.2, 0.8, True), ("b", "b", 0, "indicator", 0.0, 1.0, False)])
+@example(seed=7, eps=0.5, specs=[("a", "b", 3, "gaussian", 0.5, 0.5, True), ("b", "a", -3, "indicator", -0.5, 1.5, True),
+                                 ("a", "a", 1, "gaussian", -0.5, 1.5, True), ("b", "b", -1, "gaussian", 0.0, 0.5, False)])
+@settings(max_examples=5)
+def test_mode_route_matches_lag_route_and_dense_chain(n, bins, seed, eps, specs):
+    model = random_model(np.random.default_rng(seed), bins=bins)
+    edge = NYQUIST_MARGIN * eps / model.grid.delta_e
+    symbols = [_symbol(f, g, s, fam, np.copysign(edge, c) if at_edge else c, w) for f, g, s, fam, c, w, at_edge in specs[:n]]
+    factors = _PairingFactors(model, tuple(symbols), eps)
+    for d in irreducible_diagrams(n):
+        cycle = d.cycles()[0]
+        plan, sizes = factors._lag_plan(cycle)
+        lag = factors._lag_cycle(cycle, plan, sizes) if plan else 0j
+        mode = factors._mode_cycle(cycle)
+        scale = eps ** (d.k - n)
+        want = pairing_chain_oracle(model, symbols, d, eps)
+        close(scale * lag, want, rel=1e-12)
+        close(scale * mode, want, rel=1e-12)
+        close(scale * mode, scale * lag, rel=1e-12)
+        if plan and any(symbols[l - 1].phi.family == "indicator" for l in cycle):
+            # a sinc lag vector keeps every lag, so its cycles stay on the lag route
+            assert not factors._takes_mode_route(cycle, plan, sizes)
+
+
+def test_mode_cut():
+    m = 201
+    model = random_model(np.random.default_rng(11), bins=m)
+    symbols = tuple(_symbol(f, g, s, "gaussian", 0.2, 0.8) for f, g, s in [("a", "b", 30), ("b", "a", -20), ("a", "a", -10)])
+    factors = _PairingFactors(model, symbols, 0.2)
+    size, sets = factors._mode_sets()
+    assert size == _fft_len(2 * m - 1)
+    lo, hi = factors.support[0]
+    lags = np.arange(lo, hi + 1)
+    cut = factors.lag[0][lo + m - 1 : hi + m]
+    tau = MODE_CUT * np.sum(np.abs(cut))
+    circulant = np.zeros(size, dtype=complex)
+    circulant[lags % size] = cut
+    spectrum = np.fft.fft(circulant)
+    keep, values = sets[0]
+    # kept modes lie above the cut and dropped ones at or below it
+    assert np.all(np.abs(spectrum[keep]) > tau)
+    assert np.all(np.abs(np.delete(spectrum, keep)) <= tau)
+    # the kept values are the circulant's eigenvalues, sum_d t[d] e^(-2 pi i d nu / L)
+    dtft = np.exp(-2j * np.pi * np.outer(keep, lags) / size) @ cut
+    assert np.max(np.abs(values - dtft)) <= 1e-13 * np.sum(np.abs(cut))
+    assert 0 < len(keep) < size / 4
+    # a wide band and a narrow spectrum: the 3-cycle takes the mode route
+    plan, sizes = factors._lag_plan((1, 2, 3))
+    assert factors._takes_mode_route((1, 2, 3), plan, sizes)
+    # a lag vector that is identically zero keeps no mode
+    tiny = random_model(np.random.default_rng(12), bins=37)
+    zero = _PairingFactors(tiny, (_symbol("a", "b", 110, "gaussian", 0.0, 1.0),), 0.02)
+    assert not np.any(zero.lag[0])
+    assert len(zero._mode_sets()[1][0][0]) == 0
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.1, float("nan"), float("inf")])
