@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import lru_cache
-from math import comb, factorial, isfinite, isnan
+from math import comb, factorial, isfinite, isnan, ulp
 
 import numpy as np
 
@@ -88,12 +88,26 @@ def _unwarned(report: ConvergenceReport) -> list[str]:
             f"first at eps={warned[0].epsilon:g}: {warned[0].warnings[0]}"] if warned else []
 
 
+# a row whose abs_err is within this many ulps of |limit| has converged as
+# far as float64 can tell, so a tie or a rise below that floor is rounding
+_ULP_FLOOR = 4
+
+
+def _by_decreasing_eps(report: ConvergenceReport) -> list:
+    """The rows from the coarsest eps to the finest, whatever order
+    --epsilons gave them in; the table keeps the given order."""
+    return sorted(report.rows, key=lambda row: row.epsilon, reverse=True)
+
+
 def _strictly_decreasing(report: ConvergenceReport) -> list[str]:
-    errs = [row.rel_err for row in report.rows]
-    if any(isnan(e) for e in errs):
+    """Fails unless rel_err falls strictly as eps decreases; a row within
+    _ULP_FLOOR ulps of its limit counts as converged."""
+    rows = _by_decreasing_eps(report)
+    if any(isnan(row.rel_err) for row in rows):
         return ["the relative error is undefined because the limit is 0"]
-    rose = any(e2 >= e1 for e1, e2 in zip(errs, errs[1:]))
-    return [f"relative errors are not strictly decreasing: {errs}"] if rose else []
+    rose = any(b.rel_err >= a.rel_err and b.abs_err > _ULP_FLOOR * ulp(abs(b.limit)) for a, b in zip(rows, rows[1:]))
+    errs = ", ".join(f"{row.rel_err:.3e} at eps={row.epsilon:g}" for row in rows)
+    return [f"relative errors are not strictly decreasing as eps decreases: {errs}"] if rose else []
 
 
 def cmd_limit(args):
@@ -232,8 +246,9 @@ def cmd_independence(args):
     for row in report.rows:
         warn = f"  [{';'.join(row.warnings)}]" if row.warnings else ""
         print(f"eps={row.epsilon:<8g} |probe|={abs(row.value):.6e}{warn}")
-    first, last = abs(report.rows[0].value), abs(report.rows[-1].value)
-    grew = [f"probe magnitude grew from {first:.3e} to {last:.3e}"] if last > first else []
+    rows = _by_decreasing_eps(report)
+    first, last = abs(rows[0].value), abs(rows[-1].value)
+    grew = [f"probe magnitude grew from {first:.3e} at eps={rows[0].epsilon:g} to {last:.3e} at eps={rows[-1].epsilon:g}"] if last > first else []
     return report, report.metadata, _unwarned(report) + grew
 
 
@@ -352,8 +367,8 @@ def cmd_delta_lemma(args):
     report = delta_lemma_check(f, phi, args.epsilons)
     for row in report.rows:
         print(f"eps={row.epsilon:<8g} value={row.value:.8g}  target={row.limit:.8g}  rel_err={row.rel_err:.3e}")
-    final = report.rows[-1].rel_err
-    too_far = [f"final relative error {final:.3e} exceeds 5%"] if final > 0.05 else []
+    finest = _by_decreasing_eps(report)[-1]
+    too_far = [f"relative error {finest.rel_err:.3e} at the smallest eps={finest.epsilon:g} exceeds 5%"] if finest.rel_err > 0.05 else []
     return report, {"epsilons": args.epsilons}, _strictly_decreasing(report) + too_far
 
 

@@ -67,14 +67,42 @@ the same product by FFT already carries a normwise rounding error of a few
 SIAM 2002, ch. 24): the dropped modes sit at the FFT's own rounding level,
 which the lag route's products already carry, so the mode cut needs no
 diagnostic either.  The mode chain costs r - 2 dense products of mode-set
-sized matrices.  Each r >= 3 cycle compares the FFT work of the lag plan it
-builds anyway, rows times sum L_i log2 L_i, with _MODE_COST times the mode
-chain's multiply-adds and takes the cheaper route: on a resolved grid the
-coarse eps rows, whose bands are widest, go to the mode route and the
-finest stay on the lag route.  A 2-cycle takes no FFT, and a cycle with a
-link whose support is the whole lag range (indicator phi's sinc) has no
-narrow spectrum; both stay on the lag route, and the latter is the
-unbanded contraction bit for bit.
+sized matrices.
+
+A narrow lag band has a wide spectrum, so at the finest eps the mode chain
+is long and the lag route's FFTs, on about _ROW_BLOCK + 2w points for a
+band of w lags, are mostly padding.  There the offset route indexes each
+path state by its start row a and its offset o = a_i - a_1 from it.  With
+o_1 = o_{r+1} = 0,
+
+    value = delta_e^r sum_a sum_{o_2..o_r} prod_i kern_i(a + o_i) t_i(o_{i+1} - o_i),
+
+t_i the cut lag vector of link i's target.  The state after the first link
+is x[a, o] = kern_1(a) t_1(o); each middle link multiplies it elementwise
+by kern_i(a + o), a zero-copy Hankel view of the zero-padded kernel, and
+then by the link's Toeplitz matrix T_i[o, o'] = t_i(o' - o) in one dense
+product per row block; the closing link's Hankel view, a column sum and a
+dot with t_r(-o) end the cycle.  Every offset lies in the supports summed
+so far, clipped to what the later links can carry back to 0 and to
+|o| <= M - 1: a window of width w_i that no row changes, so the chain costs
+M sum w_{i-1} w_i multiply-adds, and a window that runs empty makes the cut
+value exactly 0.  The route sums the terms the lag route's cut contraction
+sums, so the BAND_CUT bound above holds for it unchanged; each product's
+own rounding is at most about w 2^-53 max|x| sum|t| per entry (Higham,
+ch. 3), the bound's form with w 2^-53 in place of r 2^-60, so the cut again
+loses no more than the rounding.
+
+Each r >= 3 cycle compares the FFT work of the lag plan it builds anyway,
+rows times sum L_i log2 L_i, with _MODE_COST times the multiply-adds of the
+mode chain and of the offset chain, and takes the cheapest route: on a
+resolved grid the coarse eps rows, whose bands are widest, go to the mode
+route, the finest, whose bands are narrowest, to the offset route, and the
+lag route keeps rows between the two at large M, where the offset windows,
+about 18 eps/(sigma delta_e) wide, are too wide for dense products and the
+spectra too wide for the mode chain.  A 2-cycle takes no FFT, and a cycle
+with a link whose support is the whole lag range (indicator phi's sinc)
+has neither a narrow spectrum nor a narrow band; both stay on the lag
+route, and the latter is the unbanded contraction bit for bit.
 
 Every smeared sum takes one path.  Lag vectors, their supports, kernel
 vectors and resolution warnings are built once per (model, symbols, eps),
@@ -111,17 +139,21 @@ BAND_CUT = 2.0**-60  # lag mass a lag vector's support may drop, as a share of s
 # most _ROW_BLOCK x _fft_len(2M - 1) when a support is the whole lag range
 _ROW_BLOCK = 128
 MODE_CUT = 2.0**-52  # spectrum modulus, as a share of sum |t|, a kept mode of a cut lag vector exceeds
-# weight of one mode-chain multiply-add against one unit of lag-route FFT
-# work (a row times L log2 L per FFT product).  Measured per cycle on a
-# 2-core x86 box (numpy 2.4 with pocketfft and 2-thread OpenBLAS 0.3.31,
-# best of 7), the routes break even at a weight of 0.037-0.060 for 270-1081
-# modes (the default model repeated to n = 4, M = 800-3200, eps =
-# 0.02-0.16) and of 0.07-0.2 below 270 modes, where gathering the links
-# costs more than the products.  At 0.1 a large cycle takes the mode route
-# only where it is predicted about twice as fast, which keeps the
-# north-star eps = 0.04 row (FFT work 0.05-0.07 of the multiply-adds) on
-# the lag route
-_MODE_COST = 0.1
+# weight of one multiply-add of a dense-product route (mode or offset
+# chain) against one unit of lag-route FFT work (a row times L log2 L per
+# FFT product).  Measured per cycle on a 2-core x86 box (numpy 2.4 with
+# pocketfft and 2-thread OpenBLAS 0.3.31, best of 5; the default model
+# repeated to n = 3 and 4 at M = 400-3200, eps = 0.01-0.32, and 3-cycles of
+# the sweep-fine benchmark inputs at M = 640), the offset route breaks even
+# with the lag route at a weight of 0.033-0.079 and the mode route at
+# 0.042-0.080 for 270 modes or more (0.076-0.3 below, where gathering the
+# links costs more than the products but the mode route wins 5 to 500
+# times over).  At 0.06 every measured cycle took its fastest route
+_MODE_COST = 0.06
+# rows per offset-route block: 256 rows keep the dense products few (3 per
+# middle link at M = 640) and the work arrays at 256 x the widest offset
+# window; 128 rows ran 10-30 % slower, 640 no faster
+_OFFSET_BLOCK = 256
 
 
 def _fft_len(target: int) -> int:
@@ -278,29 +310,38 @@ class _PairingFactors:
         """delta_e^r trace(D_1 T_1 ... D_r T_r) for the cycle l_1 -> .. -> l_r,
         with D_i = diag(kern(l_i, l_{i+1})) and T_i[a, b] = t_{l_{i+1}}[b - a],
         each T_i cut to the lags of its support, by the lag route or, for an
-        r >= 3 cycle it makes cheaper, the mode route (module docstring)."""
+        r >= 3 cycle they make cheaper, the mode or the offset route (module
+        docstring)."""
         if len(cycle) == 1:
             kern = self.kern[(cycle[0], cycle[0])]
             return self.delta_e * np.sum(kern) * self.lag[cycle[0] - 1][self.m - 1]
         plan, sizes = self._lag_plan(cycle)
         if not plan:
             return 0j
-        if self._takes_mode_route(cycle, plan, sizes):
+        route = self._route(cycle, plan, sizes)
+        if route == "mode":
             return self._mode_cycle(cycle)
+        if route == "offset":
+            return self._offset_cycle(cycle)
         return self._lag_cycle(cycle, plan, sizes)
+
+    def _reach(self, cycle: tuple[int, ...]):
+        """Per link of an r >= 2 cycle, the support of its lag vector, and
+        per link but the closing one, the column offsets relative to a row
+        that the later links can still carry back onto that row."""
+        targets = cycle[1:] + cycle[:1]
+        band = [self.support[j - 1] for j in targets]  # an empty one leaves every window empty
+        back = [(-band[-1][1], -band[-1][0])]
+        for lo, hi in band[-2:0:-1]:
+            back.insert(0, (back[0][0] - hi, back[0][1] - lo))
+        return band, back
 
     def _lag_plan(self, cycle: tuple[int, ...]):
         """The lag route's row blocks (r0, r1, windows) of an r >= 2 cycle
         and the FFT length of each middle link; a block whose windows run
         empty is left out."""
         m = self.m
-        targets = cycle[1:] + cycle[:1]
-        band = [self.support[j - 1] for j in targets]  # an empty one leaves every window empty
-        # back[i]: the column offsets, relative to a row, that links i+1..r-1
-        # can still carry back onto that row
-        back = [(-band[-1][1], -band[-1][0])]
-        for lo, hi in band[-2:0:-1]:
-            back.insert(0, (back[0][0] - hi, back[0][1] - lo))
+        band, back = self._reach(cycle)
         # per row block, the half-open column window of the path product
         # after each link but the closing one: what the block's rows reach
         # forward, clipped to the grid and to what the later links carry back
@@ -388,18 +429,25 @@ class _PairingFactors:
             self._modes = (size, sets)
         return self._modes
 
-    def _takes_mode_route(self, cycle: tuple[int, ...], plan, sizes) -> bool:
-        """Whether the mode chain's multiply-adds, weighted by _MODE_COST,
-        undercut the lag plan's FFT work.  2-cycles, which take no FFT, and
-        cycles with a link over the whole lag range keep the lag route."""
+    def _route(self, cycle: tuple[int, ...], plan, sizes) -> str:
+        """The route of least predicted work, "lag", "mode" or "offset" (ties
+        to the first): the lag plan's FFT work against _MODE_COST times the
+        mode chain's or the offset chain's multiply-adds.  2-cycles, which
+        take no FFT, and cycles with a link over the whole lag range keep
+        the lag route."""
         full = (1 - self.m, self.m - 1)
         if len(cycle) < 3 or any(self.support[j - 1] == full for j in cycle):
-            return False
-        fft_work = sum(r1 - r0 for r0, r1, _ in plan) * sum(size * np.log2(size) for size in sizes)
+            return "lag"
         _, sets = self._mode_sets()
         s = [len(sets[j - 1][0]) for j in cycle[1:] + cycle[:1]]
-        mode_work = s[-1] * sum(s[i - 1] * s[i] for i in range(1, len(s) - 1))
-        return _MODE_COST * mode_work < fft_work
+        windows = self._offset_windows(cycle) or []
+        w = [o1 - o0 for o0, o1 in windows]
+        work = {
+            "lag": sum(r1 - r0 for r0, r1, _ in plan) * sum(size * np.log2(size) for size in sizes),
+            "mode": _MODE_COST * s[-1] * sum(s[i - 1] * s[i] for i in range(1, len(s) - 1)),
+            "offset": _MODE_COST * self.m * sum(a * b for a, b in zip(w, w[1:])),
+        }
+        return min(work, key=work.get)
 
     def _mode_cycle(self, cycle: tuple[int, ...]) -> complex:
         """The mode route: (delta_e/L)^r trace(B_1 ... B_r) with
@@ -419,6 +467,72 @@ class _PairingFactors:
             x = x @ link(*pair)
         # trace(x B) without the off-diagonal of the product
         return (self.delta_e / size) ** len(cycle) * complex(np.sum(x * link(*pairs[-1]).T))
+
+    def _offset_windows(self, cycle: tuple[int, ...]):
+        """The offset route's half-open window of o = a_i - a_1 after each
+        link but the closing one: the supports summed so far, clipped to
+        what the later links carry back and to |o| <= M - 1; None when one
+        runs empty."""
+        m = self.m
+        band, back = self._reach(cycle)
+        o0, o1, windows = 0, 1, []
+        for (lo, hi), (b_lo, b_hi) in zip(band, back):
+            o0, o1 = max(o0 + lo, b_lo, 1 - m), min(o1 + hi, b_hi + 1, m)
+            if o0 >= o1:
+                return None
+            windows.append((o0, o1))
+        return windows
+
+    def _cut_lags(self, j: int, d0: int, d1: int) -> np.ndarray:
+        """t_j cut to its support, at the lags d0 .. d1 - 1."""
+        lo, hi = self.support[j - 1]
+        out = np.zeros(d1 - d0, dtype=complex)
+        s0, s1 = max(d0, lo), min(d1, hi + 1)
+        if s0 < s1:
+            out[s0 - d0 : s1 - d0] = self.lag[j - 1][s0 + self.m - 1 : s1 + self.m - 1]
+        return out
+
+    def _offset_cycle(self, cycle: tuple[int, ...]) -> complex:
+        """The offset route: the path product over start rows a and offsets
+        o = a_i - a_1, one Hankel-view kernel product and one dense product
+        with the link's Toeplitz matrix t(o' - o) per middle link, then a
+        column sum against the closing link's lags -o."""
+        windows = self._offset_windows(cycle)
+        if windows is None:
+            return 0j
+        m, r = self.m, len(cycle)
+        targets = cycle[1:] + cycle[:1]
+        # hankel[i - 1][a, o - o0] = kern_i(a + o), zero off the grid, over
+        # the window [o0, o1) that link i >= 2 reads
+        hankel = []
+        for pair, (o0, o1) in zip(zip(cycle[1:], targets[1:]), windows):
+            padded = np.zeros(3 * m - 2, dtype=complex)  # a + o from -(M-1) to 2(M-1)
+            padded[m - 1 : 2 * m - 1] = self.kern[pair]
+            hankel.append(sliding_window_view(padded, o1 - o0)[o0 + m - 1 :])
+        # toeplitz[i - 1][o - p0, o' - q0] = t(o' - o) from window p to window q
+        toeplitz = [
+            np.ascontiguousarray(sliding_window_view(self._cut_lags(j, q0 - p1 + 1, q1 - p0), q1 - q0)[::-1])
+            for j, (p0, p1), (q0, q1) in zip(targets[1:-1], windows, windows[1:])
+        ]
+        c0, c1 = windows[-1]
+        close = self._cut_lags(targets[-1], 1 - c1, 1 - c0)[::-1]  # t(-o) over the last window
+        first = self._cut_lags(targets[0], *windows[0])
+        kern = self.kern[(cycle[0], targets[0])]
+        block = min(_OFFSET_BLOCK, m)
+        widths = [o1 - o0 for o0, o1 in windows]
+        bufs = [np.empty(block * max(widths), dtype=complex) for _ in range(2)]
+        col = np.zeros(c1 - c0, dtype=complex)
+        for r0 in range(0, m, block):
+            r1 = min(r0 + block, m)
+            nb = r1 - r0
+            x = np.multiply(kern[r0:r1, None], first, out=bufs[0][: nb * widths[0]].reshape(nb, widths[0]))
+            # the two buffers alternate so that x never overlaps the product written
+            for i in range(1, r - 1):
+                x *= hankel[i - 1][r0:r1]
+                x = np.matmul(x, toeplitz[i - 1], out=bufs[i % 2][: nb * widths[i]].reshape(nb, widths[i]))
+            x *= hankel[-1][r0:r1]
+            col += x.sum(axis=0)
+        return self.delta_e**r * complex(col @ close)
 
     def single_cycles(self, subset: tuple[int, ...]):
         """(diagram, eps^(k-r) times its cycle value) for every single-cycle
@@ -450,9 +564,10 @@ def pairing_term_smeared(model: SpectralModel, symbols, diagram: PairDiagram, ep
     is one Hadamard sum, a longer one r - 2 Toeplitz products by FFT
     followed by a Hadamard sum with the last link, over row blocks and the
     column windows each block's rows reach, or, where that costs less, a
-    chain of dense products on the Fourier modes its lag vectors keep.  Each
-    call builds its own pairing factors; the smeared sums below never call
-    it.
+    chain of dense products either on the Fourier modes its lag vectors
+    keep or over the offsets a_i - a_1 its supports reach (module
+    docstring).  Each call builds its own pairing factors; the smeared sums
+    below never call it.
     """
     symbols = tuple(symbols)
     n = len(symbols)

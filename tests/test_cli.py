@@ -7,9 +7,9 @@ import sys
 
 import pytest
 
-from lowdensity.cli import build_parser, main
+from lowdensity.cli import _strictly_decreasing, build_parser, main
 from lowdensity.config import default_config
-from lowdensity.report import CSV_COLUMNS
+from lowdensity.report import CSV_COLUMNS, ConvergenceReport, SweepRow
 
 CONFIG = {
     "grid": {"e_min": 0.0, "e_max": 4.0, "bins": 96},
@@ -106,12 +106,59 @@ def test_sweep_json_format(config_path, tmp_path):
     assert doc["rows"][0]["breakdown"]
 
 
-def test_sweep_assert_fails_on_reversed_epsilons(resolved_config_path, capsys):
-    code = main(["sweep", "--config", resolved_config_path, "--epsilons", "0.1,0.2", "--assert"])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert "[" not in captured.out  # both rows resolved: the monotone clause fails
-    assert "relative errors are not strictly decreasing" in captured.err
+def test_sweep_assert_fails_when_errors_rise(resolved_config_path, capsys):
+    # above eps ~ 0.8 this model is pre-asymptotic: rel_err is 0.30 at
+    # eps = 2 and 0.44 at eps = 1, a rise as eps decreases in either order
+    for eps in ("2,1", "1,2"):
+        assert main(["sweep", "--config", resolved_config_path, "--epsilons", eps, "--assert"]) == 2
+        captured = capsys.readouterr()
+        assert "[" not in captured.out  # both rows resolved: the monotone clause fails
+        assert "relative errors are not strictly decreasing" in captured.err
+
+
+def test_monotone_claims_read_rows_by_decreasing_eps(tmp_path, separated_config_path, capsys):
+    cfg = default_config()
+    cfg["grid"]["bins"] = 640  # resolves eps = 0.05
+    path = tmp_path / "resolved.json"
+    path.write_text(json.dumps(cfg))
+    runs = [
+        ["sweep", "--config", str(path), "--epsilons"], ["0.2,0.1,0.05", "0.05,0.1,0.2"],
+        # rel_err 0.106 at eps = 0.5: the 5 % bound reads the smallest eps
+        ["delta-lemma", "--epsilons"], ["0.5,0.02", "0.02,0.5"],
+        ["delta-lemma", "--epsilons"], ["0.1,0.03,0.01", "0.01,0.03,0.1"],
+        # the probe magnitude shrinks from eps = 0.2 to 0.1
+        ["independence", "--config", separated_config_path, "--groups", "1;2", "--separation", "4", "--epsilons"],
+        ["0.2,0.1", "0.1,0.2"],
+    ]
+    for argv, orders in zip(runs[::2], runs[1::2]):
+        for eps in orders:
+            out = tmp_path / "table.json"
+            assert main([*argv, eps, "--assert", "--format", "json", "--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            # the table keeps the rows in the order given
+            assert [row["epsilon"] for row in json.loads(out.read_text())["rows"]] == [float(e) for e in eps.split(",")]
+
+
+def test_monotone_claim_floor_is_a_few_ulps():
+    limit = complex(2 * math.pi)
+    ulp = math.ulp(limit.real)
+
+    def report(*errors):
+        return ConvergenceReport(kind="sweep", rows=tuple(
+            SweepRow(epsilon=eps, value=limit + err, limit=limit) for eps, err in zip((0.1, 0.03, 0.01), errors)), metadata={})
+
+    # delta-lemma's indicator defaults: 0, then a 2-ulp tie, is converged
+    assert _strictly_decreasing(report(0.0, 2 * ulp, 2 * ulp)) == []
+    assert _strictly_decreasing(report(0.0, 4 * ulp, 3 * ulp)) == []
+    # a rise above the floor, or a tie above it, still fails
+    assert _strictly_decreasing(report(0.0, 2 * ulp, 5 * ulp))
+    assert _strictly_decreasing(report(0.0, 1e-12, 2e-12))
+    assert _strictly_decreasing(report(1e-3, 1e-3, 1e-4))
+
+
+def test_delta_lemma_indicator_defaults_assert():
+    # rel_err reads 0, 2.8e-16, 2.8e-16: a tie two ulps from the target
+    assert main(["delta-lemma", "--phi-family", "indicator", "--assert"]) == 0
 
 
 def test_sweep_assert_fails_on_warned_rows(capsys):
@@ -186,9 +233,10 @@ def test_poisson_nonzero_omega_writes_zero_moments(tmp_path):
     assert all(r[3:] == ["0.0", "0.0", "0.0", "0.0"] for r in moments)
 
 
-def test_independence_groups_and_assert(tmp_path):
+@pytest.fixture
+def separated_config_path(tmp_path):
     # windows 3 apart at width 0.5, and 192 bins: separated, and resolved by
-    # the width and Nyquist rules at both epsilons, so no row is warned
+    # the width and Nyquist rules at eps = 0.2 and 0.1, so no row is warned
     cfg = dict(CONFIG, grid={"e_min": 0.0, "e_max": 4.0, "bins": 192},
                density={"type": "table", "values": [1.0] * 96 + [0.5] * 96})
     cfg["symbols"] = [
@@ -197,8 +245,12 @@ def test_independence_groups_and_assert(tmp_path):
     ]
     path = tmp_path / "separated.json"
     path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_independence_groups_and_assert(separated_config_path):
     assert main([
-        "independence", "--config", str(path), "--groups", "1;2",
+        "independence", "--config", separated_config_path, "--groups", "1;2",
         "--epsilons", "0.2,0.1", "--separation", "4", "--assert",
     ]) == 0
 

@@ -404,7 +404,7 @@ def test_mode_route_matches_lag_route_and_dense_chain(n, bins, seed, eps, specs)
         close(scale * mode, scale * lag, rel=1e-12)
         if plan and any(symbols[l - 1].phi.family == "indicator" for l in cycle):
             # a sinc lag vector keeps every lag, so its cycles stay on the lag route
-            assert not factors._takes_mode_route(cycle, plan, sizes)
+            assert factors._route(cycle, plan, sizes) == "lag"
 
 
 def test_mode_cut():
@@ -431,12 +431,90 @@ def test_mode_cut():
     assert 0 < len(keep) < size / 4
     # a wide band and a narrow spectrum: the 3-cycle takes the mode route
     plan, sizes = factors._lag_plan((1, 2, 3))
-    assert factors._takes_mode_route((1, 2, 3), plan, sizes)
+    assert factors._route((1, 2, 3), plan, sizes) == "mode"
     # a lag vector that is identically zero keeps no mode
     tiny = random_model(np.random.default_rng(12), bins=37)
     zero = _PairingFactors(tiny, (_symbol("a", "b", 110, "gaussian", 0.0, 1.0),), 0.02)
     assert not np.any(zero.lag[0])
     assert len(zero._mode_sets()[1][0][0]) == 0
+
+
+# all three routes of one cycle, each called on its own, on the same cases
+# as the mode-route test: Nyquist-edge time centres, and shifts s = -+110
+# that empty the M = 37 supports, so that no offset window can close
+@pytest.mark.parametrize("bins", [37, 128, 201])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    eps=st.floats(0.02, 0.5),
+    specs=st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b"]),
+            st.sampled_from(["a", "b"]),
+            st.one_of(st.integers(-3, 3), st.sampled_from([-110, 110])),
+            st.sampled_from(["gaussian", "indicator"]),
+            st.floats(-0.5, 0.5),
+            st.floats(0.5, 1.5),
+            st.booleans(),
+        ),
+        min_size=4,
+        max_size=4,
+    ),
+)
+@example(seed=5, eps=0.05, specs=[("a", "b", 2, "gaussian", 0.3, 0.9, False), ("b", "a", -1, "gaussian", -0.2, 1.4, True),
+                                  ("a", "a", 0, "gaussian", 0.4, 1.0, False), ("b", "b", -1, "gaussian", -0.1, 0.8, True)])
+@example(seed=6, eps=0.02, specs=[("a", "b", -110, "gaussian", 0.1, 0.9, False), ("b", "a", 110, "gaussian", -0.3, 1.2, False),
+                                  ("a", "a", 0, "gaussian", 0.2, 0.8, True), ("b", "b", 0, "indicator", 0.0, 1.0, False)])
+@settings(max_examples=5)
+def test_offset_route_matches_lag_and_mode_routes_and_dense_chain(n, bins, seed, eps, specs):
+    model = random_model(np.random.default_rng(seed), bins=bins)
+    edge = NYQUIST_MARGIN * eps / model.grid.delta_e
+    symbols = [_symbol(f, g, s, fam, np.copysign(edge, c) if at_edge else c, w) for f, g, s, fam, c, w, at_edge in specs[:n]]
+    factors = _PairingFactors(model, tuple(symbols), eps)
+    for d in irreducible_diagrams(n):
+        cycle = d.cycles()[0]
+        plan, sizes = factors._lag_plan(cycle)
+        scale = eps ** (d.k - n)
+        want = pairing_chain_oracle(model, symbols, d, eps)
+        for value in (factors._lag_cycle(cycle, plan, sizes) if plan else 0j, factors._mode_cycle(cycle), factors._offset_cycle(cycle)):
+            close(scale * value, want, rel=1e-12)
+        close(scale * factors.cycle_value(cycle), want, rel=1e-12)
+
+
+def test_offset_route_unclosable_cycle_is_exactly_zero():
+    model = random_model(np.random.default_rng(11), bins=201)
+    # every support sits 10..70 lags to the right of 0, so no three lags sum to 0
+    symbols = tuple(_symbol(f, g, 40, "gaussian", 0.0, 1.0) for f, g in [("a", "b"), ("b", "a"), ("a", "a")])
+    factors = _PairingFactors(model, symbols, 0.05)
+    assert all(lo > 0 for lo, _ in factors.support)
+    plan, sizes = factors._lag_plan((1, 2, 3))
+    assert plan  # the lag route's row blocks still reach a window; its value is rounding
+    assert factors._offset_windows((1, 2, 3)) is None
+    assert factors._route((1, 2, 3), plan, sizes) == "offset"
+    assert factors._offset_cycle((1, 2, 3)) == 0j
+    assert factors.cycle_value((1, 2, 3)) == 0j
+    d = PairDiagram((2, 3, 1))  # the 3-cycle (1 2 3)
+    close(0j, pairing_chain_oracle(model, symbols, d, 0.05), rel=1e-12)
+
+
+def test_indicator_cycle_never_takes_the_offset_route():
+    model = random_model(np.random.default_rng(11), bins=201)
+    specs = [("a", "b", 2), ("b", "a", -1), ("a", "a", -1), ("b", "b", 0)]
+    gaussian = tuple(_symbol(f, g, s, "gaussian", 0.0, 1.0) for f, g, s in specs)
+    for eps in (0.02, 0.05, 0.1):
+        # narrow Gaussian bands take the offset route ...
+        factors = _PairingFactors(model, gaussian, eps)
+        plan, sizes = factors._lag_plan((1, 2, 3))
+        assert factors._route((1, 2, 3), plan, sizes) == "offset"
+        # ... until one slot's phi is an indicator, whose sinc keeps every lag
+        for slot in range(4):
+            symbols = list(gaussian)
+            symbols[slot] = _symbol(*specs[slot], "indicator", 0.0, 1.0)
+            factors = _PairingFactors(model, tuple(symbols), eps)
+            for cycle in [(1, 2, 3), (1, 3, 2), (1, 2, 3, 4), (1, 4, 2, 3)]:
+                if slot + 1 in cycle:
+                    plan, sizes = factors._lag_plan(cycle)
+                    assert factors._route(cycle, plan, sizes) == "lag"
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.1, float("nan"), float("inf")])
