@@ -236,9 +236,10 @@ def cmd_independence(args):
             raise ConfigError(f"--groups: expected '1,2;3' style indices, got {args.groups!r}")
         if not all(index_groups):
             raise ConfigError(f"--groups: every group needs at least one symbol index, got {args.groups!r}")
-        seen = [i for g in index_groups for i in g]
-        if sorted(seen) != list(range(1, len(symbols) + 1)):
-            raise ConfigError(f"--groups must use each symbol index 1..{len(symbols)} exactly once")
+        # the probe multiplies the groups in the order given, so any other
+        # order would silently probe a reordered product
+        if [i for g in index_groups for i in g] != list(range(1, len(symbols) + 1)):
+            raise ConfigError(f"--groups must use each symbol index 1..{len(symbols)} exactly once, in increasing order")
         groups = [[symbols[i - 1] for i in g] for g in index_groups]
     else:
         groups = [[s] for s in symbols]
@@ -410,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("independence", cmd_independence, "decay of correlations between separated groups", model=True)
     p.add_argument("--epsilons", type=_epsilons, default=[0.2, 0.1, 0.05])
-    p.add_argument("--groups", help="semicolon-separated 1-based symbol index groups, e.g. '1,2;3'; each group's product is centred")
+    p.add_argument("--groups", help="semicolon-separated 1-based symbol index groups that list 1..n in order, e.g. '1,2;3'; each group's product is centred")
     p.add_argument("--separation", type=_finite_float, default=10.0,
                    help="required group separation in units of the mean time width")
 

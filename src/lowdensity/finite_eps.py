@@ -23,35 +23,49 @@ Each lag vector is cut to its support: the smallest lag range whose
 dropped head and tail each hold at most BAND_CUT/2 = 2^-61 of sum |t|.  For
 Gaussian phi that is about 9 eps/(sigma delta_e) lags either side of
 omega/delta_e, a band of fixed width on a grid resolved at eps; the sinc of
-an indicator phi decays like 1/xi and keeps every lag.  A cycle runs over
-blocks of _ROW_BLOCK rows, and each block works only on column windows:
-the first link's window is the block's rows shifted by its support, and
-each later window is what the previous one reaches through its link,
-clipped to the grid and to the columns the remaining links can still carry
-back onto the block's rows.  A 2-cycle is one Hadamard sum over its
-window; an r-cycle takes r - 2 Toeplitz products by FFT on a circulant
-embedding (Golub & Van Loan, Matrix Computations, 4.7), each on the
-smallest 11-smooth length that keeps its kept outputs free of circular
-wrap, then a Hadamard sum with its last link.  A product costs about
-M L log L for an FFT length L of about _ROW_BLOCK + 2w at support width w:
-linear in M at fixed w, where the unbanded L is 2M.  A support spanning the
-whole lag range gives whole-grid windows and the 2M - 1 point circulant,
-the unbanded contraction operation for operation.
+an indicator phi decays like 1/xi and keeps every lag.
+
+The banded route indexes each path state by its start row a and its offset
+o = a_i - a_1 from it.  With o_1 = o_{r+1} = 0,
+
+    value = delta_e^r sum_a sum_{o_2..o_r} prod_i kern_i(a + o_i) t_i(o_{i+1} - o_i),
+
+t_i the cut lag vector of link i's target.  It runs over blocks of start
+rows [r0, r1).  After each link but the closing one the offsets lie in a
+window: the supports summed so far, clipped to what the later links can
+carry back to 0 and to [1 - r1, M - r0), the offsets that put a + o on the
+grid for some row of the block.  The clip drops only entries that the next
+kernel multiplies by 0, and takes a window over a full support from 2M - 1
+offsets to M + r1 - r0 - 1; a block is _BLOCK rows, a quarter of that in a
+cycle with a support wider than the grid, where the clip binds.  A window
+that runs empty makes the block's cut value exactly 0.  The state after the
+first link is x[a, o] = kern_1(a) t_1(o); each middle link multiplies it
+elementwise by kern_i(a + o), a zero-copy Hankel view of the zero-padded
+kernel, and takes its Toeplitz product with T_i[o, o'] = t_i(o' - o) by FFT
+on a circulant embedding (Golub & Van Loan, Matrix Computations, 4.7), on
+the smallest 11-smooth length that keeps the outputs on the next window
+free of circular wrap; the closing link's Hankel view, a column sum and a
+dot with t_r(-o) end the cycle.  A product costs about L log L per row for
+an FFT length L of about the two windows' widths added, linear in M at
+fixed support width, and 2M + r1 - r0 points for a full support; a 2-cycle
+takes none.
 
 The cut moves an r-cycle value by at most
 r 2^-60 M delta_e^r prod_i max|kern_i| prod_i sum|t_i|: the same norm bound
-the FFT products' own rounding meets with a few 2^-53 log2(length) in place
-of r 2^-60, so the cut loses no more than the rounding and needs no
-diagnostic.  The FFTs are numpy's pocketfft; scipy is imported only by the
+the FFT products' own rounding meets with a few 2^-53 log2(L) in place of
+r 2^-60 (N. J. Higham, Accuracy and Stability of Numerical Algorithms,
+2nd ed., SIAM 2002, ch. 24), so the cut loses no more than the rounding and
+needs no diagnostic; the clip drops only exact zeros and leaves the bound
+as it is.  The FFTs are numpy's pocketfft; scipy is imported only by the
 adaptive quadrature of delta_lemma_check.
 
 The support that makes a Gaussian lag band wide makes its spectrum
 narrow, so a cycle of r >= 3 links can also be contracted on Fourier
-modes.  The lag route already embeds each link in a circulant of length
-L = _fft_len(2M - 1), with the cut lag vector at index d mod L.  Every
-circulant is diagonal in the Fourier basis, with eigenvalues c_j = fft of
-that placed vector, and every zero-padded diagonal kernel turns there into
-the circulant of K_i = fft(kern_i, L), so the cycle value is exactly
+modes.  Place each cut lag vector in a circulant of length
+L = _fft_len(2M - 1), lag d at index d mod L.  Every circulant is diagonal
+in the Fourier basis, with eigenvalues c_j = fft of that placed vector, and
+every zero-padded diagonal kernel turns there into the circulant of
+K_i = fft(kern_i, L), so the cycle value is exactly
 
     (delta_e/L)^r trace(B_1 ... B_r),
     B_i[mu, nu] = K_i((nu - mu) mod L) c_{l_{i+1}}(nu),
@@ -63,46 +77,17 @@ where the lag band is wide.  Dropping the modes below the cut moves a
 circulant product x C by at most 2^-52 sum|t_cut| ||x||_2 in 2-norm, while
 the same product by FFT already carries a normwise rounding error of a few
 2^-53 log2(L) max|c_j| ||x||_2 <= 2^-53 log2(L) sum|t_cut| ||x||_2
-(N. J. Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-SIAM 2002, ch. 24): the dropped modes sit at the FFT's own rounding level,
-which the lag route's products already carry, so the mode cut needs no
+(Higham, ch. 24): the dropped modes sit at the FFT's own rounding level,
+which the banded route's products already carry, so the mode cut needs no
 diagnostic either.  The mode chain costs r - 2 dense products of mode-set
 sized matrices.
 
-A narrow lag band has a wide spectrum, so at the finest eps the mode chain
-is long and the lag route's FFTs, on about _ROW_BLOCK + 2w points for a
-band of w lags, are mostly padding.  There the offset route indexes each
-path state by its start row a and its offset o = a_i - a_1 from it.  With
-o_1 = o_{r+1} = 0,
-
-    value = delta_e^r sum_a sum_{o_2..o_r} prod_i kern_i(a + o_i) t_i(o_{i+1} - o_i),
-
-t_i the cut lag vector of link i's target.  The state after the first link
-is x[a, o] = kern_1(a) t_1(o); each middle link multiplies it elementwise
-by kern_i(a + o), a zero-copy Hankel view of the zero-padded kernel, and
-then by the link's Toeplitz matrix T_i[o, o'] = t_i(o' - o) in one dense
-product per row block; the closing link's Hankel view, a column sum and a
-dot with t_r(-o) end the cycle.  Every offset lies in the supports summed
-so far, clipped to what the later links can carry back to 0 and to
-|o| <= M - 1: a window of width w_i that no row changes, so the chain costs
-M sum w_{i-1} w_i multiply-adds, and a window that runs empty makes the cut
-value exactly 0.  The route sums the terms the lag route's cut contraction
-sums, so the BAND_CUT bound above holds for it unchanged; each product's
-own rounding is at most about w 2^-53 max|x| sum|t| per entry (Higham,
-ch. 3), the bound's form with w 2^-53 in place of r 2^-60, so the cut again
-loses no more than the rounding.
-
-Each r >= 3 cycle compares the FFT work of the lag plan it builds anyway,
-rows times sum L_i log2 L_i, with _MODE_COST times the multiply-adds of the
-mode chain and of the offset chain, and takes the cheapest route: on a
-resolved grid the coarse eps rows, whose bands are widest, go to the mode
-route, the finest, whose bands are narrowest, to the offset route, and the
-lag route keeps rows between the two at large M, where the offset windows,
-about 18 eps/(sigma delta_e) wide, are too wide for dense products and the
-spectra too wide for the mode chain.  A 2-cycle takes no FFT, and a cycle
-with a link whose support is the whole lag range (indicator phi's sinc)
-has neither a narrow spectrum nor a narrow band; both stay on the lag
-route, and the latter is the unbanded contraction bit for bit.
+Each r >= 3 cycle compares the FFT work of its banded plan, rows times
+sum L_i log2 L_i, with _MODE_COST times the multiply-adds of the mode chain,
+and takes the cheaper route: on a resolved grid the coarse eps rows, whose
+bands are widest and spectra narrowest, go to the mode route and the fine
+ones to the banded route.  A sinc keeps every lag and every mode, so a
+cycle with indicator phi on every slot takes the banded route.
 
 Every smeared sum takes one path.  Lag vectors, their supports, kernel
 vectors and resolution warnings are built once per (model, symbols, eps),
@@ -135,25 +120,21 @@ MAX_SMEARED_N = 4
 RESOLUTION_BINS = 8.0  # bins required across a Fourier factor's width eps/sigma
 NYQUIST_MARGIN = pi / 2  # largest phase turn delta_e*|c|/eps of a Fourier factor per bin
 BAND_CUT = 2.0**-60  # lag mass a lag vector's support may drop, as a share of sum |t|
-# rows per FFT block: a block's work arrays span its column windows, at
-# most _ROW_BLOCK x _fft_len(2M - 1) when a support is the whole lag range
-_ROW_BLOCK = 128
+# start rows per banded block, a quarter of it where a support is wider
+# than the grid (see _offset_windows)
+_BLOCK = 128
 MODE_CUT = 2.0**-52  # spectrum modulus, as a share of sum |t|, a kept mode of a cut lag vector exceeds
-# weight of one multiply-add of a dense-product route (mode or offset
-# chain) against one unit of lag-route FFT work (a row times L log2 L per
-# FFT product).  Measured per cycle on a 2-core x86 box (numpy 2.4 with
-# pocketfft and 2-thread OpenBLAS 0.3.31, best of 5; the default model
-# repeated to n = 3 and 4 at M = 400-3200, eps = 0.01-0.32, and 3-cycles of
-# the sweep-fine benchmark inputs at M = 640), the offset route breaks even
-# with the lag route at a weight of 0.033-0.079 and the mode route at
-# 0.042-0.080 for 270 modes or more (0.076-0.3 below, where gathering the
-# links costs more than the products but the mode route wins 5 to 500
-# times over).  At 0.06 every measured cycle took its fastest route
+# weight of one multiply-add of the mode chain against one unit of the
+# banded route's FFT work (a row times L log2 L per FFT product).  Measured
+# per cycle on a 2-core x86 box (numpy 2.4 with pocketfft and OpenBLAS
+# 0.3.31 at one thread, best of 3; the default model repeated to n = 3 and 4
+# at M = 400-3200, eps = 0.01-0.32), a mode multiply-add cost 0.044-0.125
+# units for 270 modes or more and 0.065-0.3 below, where gathering the links
+# costs more than the products but the mode route wins 4 to 3000 times
+# over.  At 0.06 all 48 of those cycles took their faster route, and so
+# did the 72 3-cycles of 12 sweep-fine benchmark inputs at M = 640 (mode at
+# eps = 0.2 and 0.1, banded at 0.05) at one and at two threads
 _MODE_COST = 0.06
-# rows per offset-route block: 256 rows keep the dense products few (3 per
-# middle link at M = 640) and the work arrays at 256 x the widest offset
-# window; 128 rows ran 10-30 % slower, 640 no faster
-_OFFSET_BLOCK = 256
 
 
 def _fft_len(target: int) -> int:
@@ -309,108 +290,58 @@ class _PairingFactors:
     def cycle_value(self, cycle: tuple[int, ...]) -> complex:
         """delta_e^r trace(D_1 T_1 ... D_r T_r) for the cycle l_1 -> .. -> l_r,
         with D_i = diag(kern(l_i, l_{i+1})) and T_i[a, b] = t_{l_{i+1}}[b - a],
-        each T_i cut to the lags of its support, by the lag route or, for an
-        r >= 3 cycle they make cheaper, the mode or the offset route (module
-        docstring)."""
+        each T_i cut to the lags of its support, by the banded route or, for
+        an r >= 3 cycle it makes cheaper, the mode route (module docstring)."""
         if len(cycle) == 1:
             kern = self.kern[(cycle[0], cycle[0])]
             return self.delta_e * np.sum(kern) * self.lag[cycle[0] - 1][self.m - 1]
-        plan, sizes = self._lag_plan(cycle)
-        if not plan:
+        plan = self._offset_windows(cycle)
+        if not plan[0]:
             return 0j
-        route = self._route(cycle, plan, sizes)
-        if route == "mode":
+        if self._route(cycle, plan) == "mode":
             return self._mode_cycle(cycle)
-        if route == "offset":
-            return self._offset_cycle(cycle)
-        return self._lag_cycle(cycle, plan, sizes)
+        return self._offset_cycle(cycle, plan)
 
-    def _reach(self, cycle: tuple[int, ...]):
-        """Per link of an r >= 2 cycle, the support of its lag vector, and
-        per link but the closing one, the column offsets relative to a row
-        that the later links can still carry back onto that row."""
-        targets = cycle[1:] + cycle[:1]
-        band = [self.support[j - 1] for j in targets]  # an empty one leaves every window empty
-        back = [(-band[-1][1], -band[-1][0])]
+    def _offset_windows(self, cycle: tuple[int, ...]):
+        """The banded route's plan of an r >= 2 cycle: per block of start
+        rows [r0, r1), (r0, r1, windows) with the half-open window of
+        o = a_i - a_1 after each link but the closing one, and the FFT length
+        of each middle link, the largest any block needs.  A window is the
+        supports summed so far, clipped to what the later links carry back
+        to 0 and to the offsets that put a + o on the grid for some row of
+        the block; a block whose windows run empty is left out."""
+        m = self.m
+        band = [self.support[j - 1] for j in cycle[1:] + cycle[:1]]  # an empty one empties every window
+        back = [(-band[-1][1], -band[-1][0])]  # back[i]: offsets the links after i carry back to 0
         for lo, hi in band[-2:0:-1]:
             back.insert(0, (back[0][0] - hi, back[0][1] - lo))
-        return band, back
-
-    def _lag_plan(self, cycle: tuple[int, ...]):
-        """The lag route's row blocks (r0, r1, windows) of an r >= 2 cycle
-        and the FFT length of each middle link; a block whose windows run
-        empty is left out."""
-        m = self.m
-        band, back = self._reach(cycle)
-        # per row block, the half-open column window of the path product
-        # after each link but the closing one: what the block's rows reach
-        # forward, clipped to the grid and to what the later links carry back
-        plan = []
-        for r0 in range(0, m, _ROW_BLOCK):
-            r1 = min(r0 + _ROW_BLOCK, m)
-            c0, c1, windows = r0, r1, []
+        # a support wider than the grid makes windows that only the grid
+        # clip bounds, M + rows - 1 wide, so such a cycle takes short blocks
+        height = _BLOCK // 4 if any(hi - lo >= m for lo, hi in band) else _BLOCK
+        blocks = []
+        for r0 in range(0, m, height):
+            r1 = min(r0 + height, m)
+            o0, o1, windows = 0, 1, []
             for (lo, hi), (b_lo, b_hi) in zip(band, back):
-                c0, c1 = max(c0 + lo, r0 + b_lo, 0), min(c1 + hi, r1 + b_hi, m)
-                if c0 >= c1:
+                o0, o1 = max(o0 + lo, b_lo, 1 - r1), min(o1 + hi, b_hi + 1, m - r0)
+                if o0 >= o1:
                     break
-                windows.append((c0, c1))
+                windows.append((o0, o1))
             else:
-                plan.append((r0, r1, windows))
+                blocks.append((r0, r1, windows))
         # middle link i maps window p to window q by a linear convolution with
-        # the cut lag vector, output k at column p0 + lo_i + k; a circulant
-        # keeps the outputs on q unwrapped when it reaches past column q1 - 1
-        # and spans from column q0 to the last output, p1 - 1 + hi_i
+        # the cut lag vector, output k at offset p0 + lo_i + k; a circulant
+        # keeps the outputs on q unwrapped when it reaches past offset q1 - 1
+        # and spans from offset q0 to the last output, p1 - 1 + hi_i
         sizes = []
         for i in range(1, len(cycle) - 1):
             lo, hi = band[i]
             need = 0
-            for _, _, w in plan:
+            for _, _, w in blocks:
                 (p0, p1), (q0, q1) = w[i - 1], w[i]
                 need = max(need, q1 - p0 - lo, p1 + hi - q0)
             sizes.append(_fft_len(need))
-        return plan, sizes
-
-    def _lag_cycle(self, cycle: tuple[int, ...], plan, sizes) -> complex:
-        """The lag route: r - 2 Toeplitz products by FFT per row block of
-        the plan, then a Hadamard sum with the closing link."""
-        m, r = self.m, len(cycle)
-        targets = cycle[1:] + cycle[:1]
-        kern = [self.kern[pair] for pair in zip(cycle, targets)]
-        band = [self.support[j - 1] for j in targets]
-        # zero-copy Toeplitz views: window[i, j] = t[i + j - (M-1)]
-        first = sliding_window_view(self.lag[targets[0] - 1], m)[::-1]  # T[a, b] = t[b - a]
-        last = sliding_window_view(self.lag[targets[-1] - 1], m)[:, ::-1]  # T^T[a, b] = t[a - b]
-        # work arrays made once per cycle and written in place: fresh
-        # megabyte-sized temporaries per row block would each be mapped and
-        # page-faulted anew by the allocator
-        block = min(_ROW_BLOCK, m)
-        width = max(w[k][1] - w[k][0] for _, _, w in plan for k in (0, -1))
-        work = np.empty(block * width, dtype=complex)
-        pads = [np.empty(block * max(sizes), dtype=complex) for _ in range(min(r - 2, 2))]
-        ffts = [
-            np.fft.fft(self.lag[j - 1][lo + m - 1 : hi + m], size)  # the cut lag vector, lag lo at index 0
-            for j, (lo, hi), size in zip(targets[1:-1], band[1:-1], sizes)
-        ]
-        total = 0j
-        for r0, r1, windows in plan:
-            nb = r1 - r0
-            c0, c1 = windows[0]
-            x = np.multiply(kern[0][r0:r1, None], first[r0:r1, c0:c1], out=work[: nb * (c1 - c0)].reshape(nb, c1 - c0))
-            # (x D T)[a, b] = sum_c x[a, c] k[c] t[b - c]; the two pads
-            # alternate so that x never overlaps the product written
-            for i in range(1, r - 1):
-                (p0, p1), (q0, q1) = windows[i - 1], windows[i]
-                size, lo = sizes[i - 1], band[i][0]
-                pad = pads[(i - 1) % 2][: nb * size].reshape(nb, size)
-                np.multiply(x, kern[i][p0:p1], out=pad[:, : p1 - p0])
-                pad[:, p1 - p0 :] = 0
-                np.fft.fft(pad, axis=1, out=pad)
-                pad *= ffts[i - 1]
-                x = np.fft.ifft(pad, axis=1, out=pad)[:, q0 - p0 - lo : q1 - p0 - lo]
-            c0, c1 = windows[-1]
-            x = np.multiply(x, kern[-1][c0:c1], out=work[: nb * (c1 - c0)].reshape(nb, c1 - c0))
-            total += np.sum(np.multiply(x, last[r0:r1, c0:c1], out=x))
-        return self.delta_e**r * total
+        return blocks, sizes
 
     def _mode_sets(self):
         """The circulant length L and, per target slot, the kept modes of
@@ -429,23 +360,19 @@ class _PairingFactors:
             self._modes = (size, sets)
         return self._modes
 
-    def _route(self, cycle: tuple[int, ...], plan, sizes) -> str:
-        """The route of least predicted work, "lag", "mode" or "offset" (ties
-        to the first): the lag plan's FFT work against _MODE_COST times the
-        mode chain's or the offset chain's multiply-adds.  2-cycles, which
-        take no FFT, and cycles with a link over the whole lag range keep
-        the lag route."""
-        full = (1 - self.m, self.m - 1)
-        if len(cycle) < 3 or any(self.support[j - 1] == full for j in cycle):
-            return "lag"
+    def _route(self, cycle: tuple[int, ...], plan) -> str:
+        """The route of least predicted work, "offset" (the banded route)
+        or "mode", ties to the first: the plan's FFT work, its rows times
+        sum L_i log2 L_i, against _MODE_COST times the mode chain's
+        multiply-adds.  A 2-cycle takes no product and stays banded."""
+        if len(cycle) < 3:
+            return "offset"
+        blocks, sizes = plan
         _, sets = self._mode_sets()
         s = [len(sets[j - 1][0]) for j in cycle[1:] + cycle[:1]]
-        windows = self._offset_windows(cycle) or []
-        w = [o1 - o0 for o0, o1 in windows]
         work = {
-            "lag": sum(r1 - r0 for r0, r1, _ in plan) * sum(size * np.log2(size) for size in sizes),
+            "offset": sum(r1 - r0 for r0, r1, _ in blocks) * sum(size * np.log2(size) for size in sizes),
             "mode": _MODE_COST * s[-1] * sum(s[i - 1] * s[i] for i in range(1, len(s) - 1)),
-            "offset": _MODE_COST * self.m * sum(a * b for a, b in zip(w, w[1:])),
         }
         return min(work, key=work.get)
 
@@ -468,71 +395,58 @@ class _PairingFactors:
         # trace(x B) without the off-diagonal of the product
         return (self.delta_e / size) ** len(cycle) * complex(np.sum(x * link(*pairs[-1]).T))
 
-    def _offset_windows(self, cycle: tuple[int, ...]):
-        """The offset route's half-open window of o = a_i - a_1 after each
-        link but the closing one: the supports summed so far, clipped to
-        what the later links carry back and to |o| <= M - 1; None when one
-        runs empty."""
-        m = self.m
-        band, back = self._reach(cycle)
-        o0, o1, windows = 0, 1, []
-        for (lo, hi), (b_lo, b_hi) in zip(band, back):
-            o0, o1 = max(o0 + lo, b_lo, 1 - m), min(o1 + hi, b_hi + 1, m)
-            if o0 >= o1:
-                return None
-            windows.append((o0, o1))
-        return windows
-
-    def _cut_lags(self, j: int, d0: int, d1: int) -> np.ndarray:
-        """t_j cut to its support, at the lags d0 .. d1 - 1."""
-        lo, hi = self.support[j - 1]
-        out = np.zeros(d1 - d0, dtype=complex)
-        s0, s1 = max(d0, lo), min(d1, hi + 1)
-        if s0 < s1:
-            out[s0 - d0 : s1 - d0] = self.lag[j - 1][s0 + self.m - 1 : s1 + self.m - 1]
-        return out
-
-    def _offset_cycle(self, cycle: tuple[int, ...]) -> complex:
-        """The offset route: the path product over start rows a and offsets
-        o = a_i - a_1, one Hankel-view kernel product and one dense product
-        with the link's Toeplitz matrix t(o' - o) per middle link, then a
-        column sum against the closing link's lags -o."""
-        windows = self._offset_windows(cycle)
-        if windows is None:
-            return 0j
+    def _offset_cycle(self, cycle: tuple[int, ...], plan) -> complex:
+        """The banded route: per block of the plan, the path product over
+        start rows a and offsets o = a_i - a_1, one Hankel-view kernel
+        product and one Toeplitz product t(o' - o) by FFT per middle link,
+        then the closing link's kernels summed against its lags -o."""
+        blocks, sizes = plan
         m, r = self.m, len(cycle)
         targets = cycle[1:] + cycle[:1]
-        # hankel[i - 1][a, o - o0] = kern_i(a + o), zero off the grid, over
-        # the window [o0, o1) that link i >= 2 reads
+        band = [self.support[j - 1] for j in targets]
+        block = max(r1 - r0 for r0, r1, _ in blocks)
+        # hankel[i - 1][a + o0 + m - 1, o - o0] = kern_i(a + o), zero off the
+        # grid, for any block's window [o0, o1) that link i >= 2 reads; the
+        # view is as wide as the widest one, and the padding keeps every
+        # block's rows inside it
         hankel = []
-        for pair, (o0, o1) in zip(zip(cycle[1:], targets[1:]), windows):
-            padded = np.zeros(3 * m - 2, dtype=complex)  # a + o from -(M-1) to 2(M-1)
+        for i, pair in enumerate(zip(cycle[1:], targets[1:])):
+            width = max(w[i][1] - w[i][0] for _, _, w in blocks)
+            padded = np.zeros(2 * m + block + width, dtype=complex)
             padded[m - 1 : 2 * m - 1] = self.kern[pair]
-            hankel.append(sliding_window_view(padded, o1 - o0)[o0 + m - 1 :])
-        # toeplitz[i - 1][o - p0, o' - q0] = t(o' - o) from window p to window q
-        toeplitz = [
-            np.ascontiguousarray(sliding_window_view(self._cut_lags(j, q0 - p1 + 1, q1 - p0), q1 - q0)[::-1])
-            for j, (p0, p1), (q0, q1) in zip(targets[1:-1], windows, windows[1:])
+            hankel.append(sliding_window_view(padded, width))
+        ffts = [
+            np.fft.fft(self.lag[j - 1][lo + m - 1 : hi + m], size)  # the cut lag vector, lag lo at index 0
+            for j, (lo, hi), size in zip(targets[1:-1], band[1:-1], sizes)
         ]
-        c0, c1 = windows[-1]
-        close = self._cut_lags(targets[-1], 1 - c1, 1 - c0)[::-1]  # t(-o) over the last window
-        first = self._cut_lags(targets[0], *windows[0])
-        kern = self.kern[(cycle[0], targets[0])]
-        block = min(_OFFSET_BLOCK, m)
-        widths = [o1 - o0 for o0, o1 in windows]
-        bufs = [np.empty(block * max(widths), dtype=complex) for _ in range(2)]
-        col = np.zeros(c1 - c0, dtype=complex)
-        for r0 in range(0, m, block):
-            r1 = min(r0 + block, m)
+        first, kern = self.lag[targets[0] - 1], self.kern[(cycle[0], targets[0])]
+        close = self.lag[targets[-1] - 1][::-1]  # close[o + m - 1] = t(-o)
+        # work arrays made once per cycle and written in place: fresh
+        # megabyte-sized temporaries per block would each be mapped and
+        # page-faulted anew by the allocator
+        work = np.empty(block * max(w[0][1] - w[0][0] for _, _, w in blocks), dtype=complex)
+        pads = [np.empty(block * max(sizes), dtype=complex) for _ in range(min(r - 2, 2))]
+        total = 0j
+        for r0, r1, windows in blocks:
             nb = r1 - r0
-            x = np.multiply(kern[r0:r1, None], first, out=bufs[0][: nb * widths[0]].reshape(nb, widths[0]))
-            # the two buffers alternate so that x never overlaps the product written
+            p0, p1 = windows[0]
+            # every window lies in the supports, so the first and closing
+            # links read their lag vectors uncut
+            x = np.multiply(kern[r0:r1, None], first[p0 + m - 1 : p1 + m - 1], out=work[: nb * (p1 - p0)].reshape(nb, p1 - p0))
+            # the two pads alternate so that x never overlaps the product written
             for i in range(1, r - 1):
-                x *= hankel[i - 1][r0:r1]
-                x = np.matmul(x, toeplitz[i - 1], out=bufs[i % 2][: nb * widths[i]].reshape(nb, widths[i]))
-            x *= hankel[-1][r0:r1]
-            col += x.sum(axis=0)
-        return self.delta_e**r * complex(col @ close)
+                (p0, p1), (q0, q1) = windows[i - 1], windows[i]
+                size, lo = sizes[i - 1], band[i][0]
+                pad = pads[(i - 1) % 2][: nb * size].reshape(nb, size)
+                np.multiply(x, hankel[i - 1][r0 + p0 + m - 1 : r1 + p0 + m - 1, : p1 - p0], out=pad[:, : p1 - p0])
+                pad[:, p1 - p0 :] = 0
+                np.fft.fft(pad, axis=1, out=pad)
+                pad *= ffts[i - 1]
+                x = np.fft.ifft(pad, axis=1, out=pad)[:, q0 - p0 - lo : q1 - p0 - lo]
+            c0, c1 = windows[-1]
+            x *= hankel[-1][r0 + c0 + m - 1 : r1 + c0 + m - 1, : c1 - c0]
+            total += x.sum(axis=0) @ close[c0 + m - 1 : c1 + m - 1]
+        return self.delta_e**r * total
 
     def single_cycles(self, subset: tuple[int, ...]):
         """(diagram, eps^(k-r) times its cycle value) for every single-cycle
@@ -560,14 +474,12 @@ def pairing_term_smeared(model: SpectralModel, symbols, diagram: PairDiagram, ep
     A 1-cycle is delta_e sum(kern) ft(-omega/eps).  An r-cycle with r >= 2
     is delta_e^r trace(D_1 T_1 ... D_r T_r) over the Toeplitz factors
     T_i[a, b] = ft((E_b - E_a - omega)/eps), zero-copy views of one lag
-    vector per target slot cut to its support (module docstring): a 2-cycle
-    is one Hadamard sum, a longer one r - 2 Toeplitz products by FFT
-    followed by a Hadamard sum with the last link, over row blocks and the
-    column windows each block's rows reach, or, where that costs less, a
-    chain of dense products either on the Fourier modes its lag vectors
-    keep or over the offsets a_i - a_1 its supports reach (module
-    docstring).  Each call builds its own pairing factors; the smeared sums
-    below never call it.
+    vector per target slot cut to its support, contracted by the banded
+    route over start rows and the offsets a_i - a_1 its supports reach
+    (r - 2 Toeplitz products by FFT, none for a 2-cycle) or, where that
+    costs less, by a chain of dense products on the Fourier modes its lag
+    vectors keep (module docstring).  Each call builds its own pairing
+    factors; the smeared sums below never call it.
     """
     symbols = tuple(symbols)
     n = len(symbols)

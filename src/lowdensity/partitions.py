@@ -226,9 +226,3 @@ def surviving_diagram(n: int) -> PairDiagram:
         raise ValueError("surviving_diagram needs n >= 1")
     return PairDiagram((n,) + tuple(range(1, n)))
 
-
-if __name__ == "__main__":
-    for n in range(2, 7):
-        diags = enumerate_pair_diagrams(n)
-        irr = [d for d in diags if classify(d).irreducible]
-        print(f"n={n}: {len(diags)} diagrams, {len(irr)} irreducible")

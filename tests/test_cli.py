@@ -317,6 +317,22 @@ def test_independence_bad_groups(config_path, capsys):
     assert main(["independence", "--config", config_path, "--groups", "1;x"]) == 1
 
 
+def test_independence_groups_must_keep_symbol_order(tmp_path, capsys):
+    # '2;1;3' once probed the product N2 N1 N3 without a word; the groups,
+    # joined, must read 1..n in order
+    cfg = dict(CONFIG)
+    cfg["symbols"] = CONFIG["symbols"] + [
+        {"f": "a", "g": "a", "omega_index": 0, "phi": {"family": "gaussian", "center": 2.0, "width": 0.6}},
+    ]
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(cfg))
+    for groups in ("2;1;3", "1,3;2", "3,2,1"):
+        assert main(["independence", "--config", str(path), "--groups", groups, "--epsilons", "0.2"]) == 1
+        assert "exactly once, in increasing order" in capsys.readouterr().err
+    for groups in ("1;2;3", "1,2;3", "1;2,3"):
+        assert main(["independence", "--config", str(path), "--groups", groups, "--epsilons", "0.2"]) == 0
+
+
 def test_independence_empty_group_exits_one(tmp_path, config_path):
     # an empty block once reached the probe, which averaged an empty group's
     # time centres (two numpy RuntimeWarnings) and then failed on max([])

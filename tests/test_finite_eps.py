@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import full_lag_cycle_value, gaussian_shell_model, pairing_chain_oracle, pairing_oracle, random_model, random_phi, random_symbols
+from helpers import gaussian_shell_model, pairing_chain_oracle, pairing_oracle, random_model, random_phi, random_symbols
 from lowdensity import (
     CorrelationFamily,
     NumberSymbol,
@@ -25,20 +25,23 @@ from lowdensity import (
     correlation_fixed_times,
     convergence_sweep,
     correlation_smeared,
+    default_config,
     delta_lemma_check,
     enumerate_pair_diagrams,
     enumerate_set_partitions,
     independence_probe,
     irreducible_diagrams,
     limit_truncated_smeared,
+    model_from_config,
     pairing_term_smeared,
     rank_one_kernel,
     resolution_warnings,
     state_expectation,
+    symbols_from_config,
     truncated_from_full,
     truncated_smeared,
 )
-from lowdensity.finite_eps import BAND_CUT, COMMUTATOR, DENSITY, MODE_CUT, NYQUIST_MARGIN, _fft_len, _PairingFactors, two_point
+from lowdensity.finite_eps import _BLOCK, BAND_CUT, COMMUTATOR, DENSITY, MODE_CUT, NYQUIST_MARGIN, _fft_len, _PairingFactors, two_point
 
 
 def close(got, want, rel=1e-9):
@@ -344,20 +347,18 @@ def test_lag_support_cut():
     assert np.sum(mag[: lo + m - 1]) <= cut and np.sum(mag[hi + m :]) <= cut
     assert np.sum(mag[: lo + m]) > cut and np.sum(mag[hi + m - 1 :]) > cut
     assert -(m - 1) < lo < 30 < hi < m - 1
-    # a sinc never falls below the cut: every window is the whole grid, and
-    # the cycle values are the full-lag contraction's bit for bit
+    # a sinc never falls below the cut: every support is the whole lag range
     specs = [("a", "b", 2, "indicator", 0.1, 0.7), ("b", "a", -1, "indicator", -0.2, 1.1),
              ("a", "a", 0, "indicator", 0.3, 0.9), ("b", "b", 1, "indicator", 0.0, 1.3)]
     symbols = tuple(_symbol(*spec) for spec in specs)
     factors = _PairingFactors(model, symbols, 0.05)
     assert factors.support == [(-(m - 1), m - 1)] * 4
-    for cycle in [(1, 2), (1, 2, 3), (1, 3, 2), (1, 2, 3, 4), (1, 4, 2, 3)]:
-        assert factors.cycle_value(cycle) == full_lag_cycle_value(factors, cycle)
-    d = PairDiagram((2, 3, 4, 1))  # the 4-cycle (1 2 3 4)
-    close(factors.epsilon ** (d.k - 4) * factors.cycle_value((1, 2, 3, 4)), pairing_chain_oracle(model, symbols, d, 0.05), rel=1e-12)
+    for d in irreducible_diagrams(4):
+        close(factors.epsilon ** (d.k - 4) * factors.cycle_value(d.cycles()[0]), pairing_chain_oracle(model, symbols, d, 0.05), rel=1e-12)
 
 
-# the lag and mode routes of one cycle, each called on its own; the flag puts
+# the banded route, which contracts the cut lag vectors over lag offsets,
+# and the mode route of one cycle, each called on its own; the flag puts
 # a symbol's time centre on the Nyquist edge delta_e*|c|/eps = pi/2, and
 # shifts s = -+110 leave those slots' lag vectors identically zero at M = 37
 # and their mode sets empty
@@ -394,17 +395,14 @@ def test_mode_route_matches_lag_route_and_dense_chain(n, bins, seed, eps, specs)
     factors = _PairingFactors(model, tuple(symbols), eps)
     for d in irreducible_diagrams(n):
         cycle = d.cycles()[0]
-        plan, sizes = factors._lag_plan(cycle)
-        lag = factors._lag_cycle(cycle, plan, sizes) if plan else 0j
+        plan = factors._offset_windows(cycle)
+        lag = factors._offset_cycle(cycle, plan) if plan[0] else 0j
         mode = factors._mode_cycle(cycle)
         scale = eps ** (d.k - n)
         want = pairing_chain_oracle(model, symbols, d, eps)
         close(scale * lag, want, rel=1e-12)
         close(scale * mode, want, rel=1e-12)
         close(scale * mode, scale * lag, rel=1e-12)
-        if plan and any(symbols[l - 1].phi.family == "indicator" for l in cycle):
-            # a sinc lag vector keeps every lag, so its cycles stay on the lag route
-            assert factors._route(cycle, plan, sizes) == "lag"
 
 
 def test_mode_cut():
@@ -430,8 +428,7 @@ def test_mode_cut():
     assert np.max(np.abs(values - dtft)) <= 1e-13 * np.sum(np.abs(cut))
     assert 0 < len(keep) < size / 4
     # a wide band and a narrow spectrum: the 3-cycle takes the mode route
-    plan, sizes = factors._lag_plan((1, 2, 3))
-    assert factors._route((1, 2, 3), plan, sizes) == "mode"
+    assert factors._route((1, 2, 3), factors._offset_windows((1, 2, 3))) == "mode"
     # a lag vector that is identically zero keeps no mode
     tiny = random_model(np.random.default_rng(12), bins=37)
     zero = _PairingFactors(tiny, (_symbol("a", "b", 110, "gaussian", 0.0, 1.0),), 0.02)
@@ -439,9 +436,10 @@ def test_mode_cut():
     assert len(zero._mode_sets()[1][0][0]) == 0
 
 
-# all three routes of one cycle, each called on its own, on the same cases
-# as the mode-route test: Nyquist-edge time centres, and shifts s = -+110
-# that empty the M = 37 supports, so that no offset window can close
+# both routes of one cycle, each called on its own, and the routed value, on
+# the same cases as the mode-route test: Nyquist-edge time centres, and
+# shifts s = -+110 that empty the M = 37 supports, so that no offset window
+# can close
 @pytest.mark.parametrize("bins", [37, 128, 201])
 @pytest.mark.parametrize("n", [2, 3, 4])
 @given(
@@ -473,12 +471,53 @@ def test_offset_route_matches_lag_and_mode_routes_and_dense_chain(n, bins, seed,
     factors = _PairingFactors(model, tuple(symbols), eps)
     for d in irreducible_diagrams(n):
         cycle = d.cycles()[0]
-        plan, sizes = factors._lag_plan(cycle)
+        plan = factors._offset_windows(cycle)
         scale = eps ** (d.k - n)
         want = pairing_chain_oracle(model, symbols, d, eps)
-        for value in (factors._lag_cycle(cycle, plan, sizes) if plan else 0j, factors._mode_cycle(cycle), factors._offset_cycle(cycle)):
+        for value in (factors._offset_cycle(cycle, plan) if plan[0] else 0j, factors._mode_cycle(cycle)):
             close(scale * value, want, rel=1e-12)
         close(scale * factors.cycle_value(cycle), want, rel=1e-12)
+
+
+# the routed value on a grid of several row blocks: M = 300 is two and a
+# bit blocks of _BLOCK rows and nine and a bit of the short blocks that full
+# supports take.  Every shift but the last is drawn and the last closes the
+# sum to 0, so the cycles do not vanish; the examples give indicator phi on
+# every slot, whose supports are the whole lag range, and Gaussian shifts
+# whose partial sums reach 290 of the 299 offsets the grid allows
+@pytest.mark.parametrize("n", [2, 3, 4])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    eps=st.floats(0.02, 0.3),
+    specs=st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b"]),
+            st.sampled_from(["a", "b"]),
+            st.integers(-150, 150),
+            st.sampled_from(["gaussian", "indicator"]),
+            st.floats(-0.5, 0.5),
+            st.floats(0.5, 1.5),
+        ),
+        min_size=4,
+        max_size=4,
+    ),
+)
+@example(seed=8, eps=0.05, specs=[("a", "b", 0, "indicator", 0.1, 0.7), ("b", "a", 0, "indicator", -0.2, 1.1),
+                                  ("a", "a", 0, "indicator", 0.3, 0.9), ("b", "b", 0, "indicator", 0.0, 1.3)])
+@example(seed=9, eps=0.02, specs=[("a", "b", -40, "gaussian", 0.1, 0.9), ("b", "a", 200, "gaussian", -0.3, 1.2),
+                                  ("a", "a", 90, "gaussian", 0.2, 0.8), ("b", "b", -250, "gaussian", 0.0, 1.0)])
+@settings(max_examples=5, deadline=None)
+def test_routed_cycles_on_several_row_blocks_match_dense_chain(n, seed, eps, specs):
+    bins = 300
+    model = random_model(np.random.default_rng(seed), bins=bins)
+    shifts = [s for _, _, s, _, _, _ in specs[: n - 1]]
+    specs = specs[: n - 1] + [specs[n - 1][:2] + (-sum(shifts),) + specs[n - 1][3:]]
+    symbols = [_symbol(*spec) for spec in specs]
+    factors = _PairingFactors(model, tuple(symbols), eps)
+    assert bins % _BLOCK and bins % (_BLOCK // 4) and bins > 2 * _BLOCK
+    for d in irreducible_diagrams(n):
+        got = eps ** (d.k - n) * factors.cycle_value(d.cycles()[0])
+        close(got, pairing_chain_oracle(model, symbols, d, eps), rel=1e-12)
 
 
 def test_offset_route_unclosable_cycle_is_exactly_zero():
@@ -487,34 +526,39 @@ def test_offset_route_unclosable_cycle_is_exactly_zero():
     symbols = tuple(_symbol(f, g, 40, "gaussian", 0.0, 1.0) for f, g in [("a", "b"), ("b", "a"), ("a", "a")])
     factors = _PairingFactors(model, symbols, 0.05)
     assert all(lo > 0 for lo, _ in factors.support)
-    plan, sizes = factors._lag_plan((1, 2, 3))
-    assert plan  # the lag route's row blocks still reach a window; its value is rounding
-    assert factors._offset_windows((1, 2, 3)) is None
-    assert factors._route((1, 2, 3), plan, sizes) == "offset"
-    assert factors._offset_cycle((1, 2, 3)) == 0j
+    assert factors._offset_windows((1, 2, 3))[0] == []  # no block's windows close
     assert factors.cycle_value((1, 2, 3)) == 0j
     d = PairDiagram((2, 3, 1))  # the 3-cycle (1 2 3)
     close(0j, pairing_chain_oracle(model, symbols, d, 0.05), rel=1e-12)
 
 
-def test_indicator_cycle_never_takes_the_offset_route():
+def test_indicator_cycles_take_the_banded_route():
+    # a sinc keeps every lag and every mode of the circulant, so with
+    # indicator phi on every slot the mode chain is the longest there is
     model = random_model(np.random.default_rng(11), bins=201)
     specs = [("a", "b", 2), ("b", "a", -1), ("a", "a", -1), ("b", "b", 0)]
-    gaussian = tuple(_symbol(f, g, s, "gaussian", 0.0, 1.0) for f, g, s in specs)
+    symbols = tuple(_symbol(f, g, s, "indicator", 0.0, 1.0) for f, g, s in specs)
     for eps in (0.02, 0.05, 0.1):
-        # narrow Gaussian bands take the offset route ...
-        factors = _PairingFactors(model, gaussian, eps)
-        plan, sizes = factors._lag_plan((1, 2, 3))
-        assert factors._route((1, 2, 3), plan, sizes) == "offset"
-        # ... until one slot's phi is an indicator, whose sinc keeps every lag
-        for slot in range(4):
-            symbols = list(gaussian)
-            symbols[slot] = _symbol(*specs[slot], "indicator", 0.0, 1.0)
-            factors = _PairingFactors(model, tuple(symbols), eps)
-            for cycle in [(1, 2, 3), (1, 3, 2), (1, 2, 3, 4), (1, 4, 2, 3)]:
-                if slot + 1 in cycle:
-                    plan, sizes = factors._lag_plan(cycle)
-                    assert factors._route(cycle, plan, sizes) == "lag"
+        factors = _PairingFactors(model, symbols, eps)
+        for cycle in [(1, 2), (1, 2, 3), (1, 3, 2), (1, 2, 3, 4), (1, 4, 2, 3)]:
+            assert factors._route(cycle, factors._offset_windows(cycle)) == "offset"
+
+
+def test_full_support_gaussian_cycle_takes_the_mode_route():
+    # a narrow phi at coarse eps: every lag is in the support, but the
+    # spectrum is narrow, so the mode chain is far shorter than the banded
+    # route's FFTs over the whole grid
+    cfg = default_config()
+    cfg["grid"]["bins"] = 384
+    cfg["symbols"] = [dict(cfg["symbols"][i % 2], phi={"family": "gaussian", "center": 0.0, "width": 0.4}) for i in range(3)]
+    model = model_from_config(cfg)
+    symbols = tuple(symbols_from_config(cfg, model))
+    factors = _PairingFactors(model, symbols, 0.2)
+    assert factors.support == [(-383, 383)] * 3
+    for d in irreducible_diagrams(3):
+        cycle = d.cycles()[0]
+        assert factors._route(cycle, factors._offset_windows(cycle)) == "mode"
+        close(factors.epsilon ** (d.k - 3) * factors.cycle_value(cycle), pairing_chain_oracle(model, symbols, d, 0.2), rel=1e-12)
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.1, float("nan"), float("inf")])
