@@ -80,7 +80,7 @@ the same product by FFT already carries a normwise rounding error of a few
 (Higham, ch. 24): the dropped modes sit at the FFT's own rounding level,
 which the banded route's products already carry, so the mode cut needs no
 diagnostic either.  The mode chain costs r - 2 dense products of mode-set
-sized matrices.
+sized matrices, run over blocks of _MODE_BLOCK rows of the first link.
 
 Each r >= 3 cycle compares the FFT work of its banded plan, rows times
 sum L_i log2 L_i, with _MODE_COST times the multiply-adds of the mode chain,
@@ -88,6 +88,19 @@ and takes the cheaper route: on a resolved grid the coarse eps rows, whose
 bands are widest and spectra narrowest, go to the mode route and the fine
 ones to the banded route.  A sinc keeps every lag and every mode, so a
 cycle with indicator phi on every slot takes the banded route.
+
+Both routes write their per-cycle arrays into one work buffer of complex
+entries and one index buffer of integers per (model, symbols, eps): the
+banded route's first path state and its two FFT pads, and the mode route's
+middle links, its block-sized pieces and the gather index of each link.
+The buffers live as long as the pairing factors of that row, grow to the
+largest cycle it contracts (the short one is dropped before the long one
+is allocated) and are freed with it; nothing is kept across calls, where
+it would add to the peak memory of every later computation.  They save
+page faults, not arithmetic: fresh arrays of a megabyte or so per cycle
+went back to the operating system when freed, and every new one was
+faulted in again, about 1250 minor faults (5 MB) per three-row sweep at
+M = 640.
 
 Every smeared sum takes one path.  Lag vectors, their supports, kernel
 vectors and resolution warnings are built once per (model, symbols, eps),
@@ -135,6 +148,7 @@ MODE_CUT = 2.0**-52  # spectrum modulus, as a share of sum |t|, a kept mode of a
 # did the 72 3-cycles of 12 sweep-fine benchmark inputs at M = 640 (mode at
 # eps = 0.2 and 0.1, banded at 0.05) at one and at two threads
 _MODE_COST = 0.06
+_MODE_BLOCK = 64  # modes of a mode chain's first slot per block of its rows
 
 
 def _fft_len(target: int) -> int:
@@ -261,7 +275,8 @@ class _PairingFactors:
 
     stored at index d + M - 1, its support (see _support), and the kernel
     vectors kern(l, j) of every slot pair; the mode route's kept modes per
-    slot and kernel spectra per pair are built on first use.  An increasing
+    slot and kernel spectra per pair, and the work and index buffers both
+    routes write into (see _buffers), are built on first use.  An increasing
     slot subset reads the same vectors as if built from its own symbols.
     """
 
@@ -286,6 +301,7 @@ class _PairingFactors:
         }
         self._modes = None  # see _mode_sets
         self._kern_hat: dict[tuple[int, int], np.ndarray] = {}  # fft(kern(l, j), L), per pair on first use
+        self._work, self._index = np.empty(0, dtype=complex), np.empty(0, dtype=np.intp)  # see _buffers
 
     def cycle_value(self, cycle: tuple[int, ...]) -> complex:
         """delta_e^r trace(D_1 T_1 ... D_r T_r) for the cycle l_1 -> .. -> l_r,
@@ -376,24 +392,67 @@ class _PairingFactors:
         }
         return min(work, key=work.get)
 
+    def _buffers(self, size: int, index: int = 0):
+        """The work buffer, at least size complex entries, and the index
+        buffer, at least index integer entries.  A buffer too short for the
+        cycle at hand is dropped before its longer successor is allocated,
+        so one of each is alive at a time."""
+        if len(self._work) < size:
+            self._work = None
+            self._work = np.empty(size, dtype=complex)
+        if len(self._index) < index:
+            self._index = None
+            self._index = np.empty(index, dtype=np.intp)
+        return self._work, self._index
+
     def _mode_cycle(self, cycle: tuple[int, ...]) -> complex:
         """The mode route: (delta_e/L)^r trace(B_1 ... B_r) with
         B_i[mu, nu] = K_i((nu - mu) mod L) c_{l_{i+1}}(nu), mu over the kept
-        modes of l_i and nu over those of l_{i+1}."""
+        modes of l_i and nu over those of l_{i+1}.  The r - 2 middle links
+        are gathered whole into the work buffer; the chain runs over blocks
+        of _MODE_BLOCK modes of l_1, each taking its rows of B_1 through the
+        middle links and closing on its columns of B_r, so that besides the
+        middle links the buffer holds only block-sized pieces."""
         size, sets = self._mode_sets()
-
-        def link(l, j):
-            if (l, j) not in self._kern_hat:
-                self._kern_hat[(l, j)] = np.fft.fft(self.kern[(l, j)], size)
-            rows, (cols, spectrum) = sets[l - 1][0], sets[j - 1]
-            return np.take(self._kern_hat[(l, j)], cols[None, :] - rows[:, None], mode="wrap") * spectrum
-
+        r = len(cycle)
         pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
-        x = link(*pairs[0])
-        for pair in pairs[1:-1]:
-            x = x @ link(*pair)
-        # trace(x B) without the off-diagonal of the product
-        return (self.delta_e / size) ** len(cycle) * complex(np.sum(x * link(*pairs[-1]).T))
+        for pair in pairs:
+            if pair not in self._kern_hat:
+                self._kern_hat[pair] = np.fft.fft(self.kern[pair], size)
+        modes = [sets[l - 1] for l in cycle]  # (kept modes, their spectrum) of l_i
+        s = [len(keep) for keep, _ in modes]
+        rows, wide = min(_MODE_BLOCK, s[0]), max(s[1:])
+        middle = [s[i] * s[i + 1] for i in range(1, r - 1)]
+        work, index = self._buffers(sum(middle) + 2 * rows * wide, _MODE_BLOCK * max(s))
+
+        def link(pair, mu, nu, c, out):
+            # out[a, b] = K((nu[b] - mu[a]) mod L) c[b], built in place
+            # _MODE_BLOCK rows at a time
+            for a0 in range(0, len(mu), _MODE_BLOCK):
+                part = out[a0 : a0 + _MODE_BLOCK]
+                at = index[: part.size].reshape(part.shape)
+                np.subtract(nu, mu[a0 : a0 + _MODE_BLOCK, None], out=at)
+                np.take(self._kern_hat[pair], at, mode="wrap", out=part)
+            out *= c
+            return out
+
+        links, at = [], 0
+        for i, n in enumerate(middle, start=1):
+            links.append(link(pairs[i], modes[i][0], *modes[i + 1], work[at : at + n].reshape(s[i], s[i + 1])))
+            at += n
+        # two slots alternate so that no product overlaps its factor, and
+        # the closing block takes the slot the last product left free
+        slots = [work[at : at + rows * wide], work[at + rows * wide : at + 2 * rows * wide]]
+        (first, spectrum), total = modes[0], 0j
+        for a0 in range(0, s[0], _MODE_BLOCK):
+            a1 = min(a0 + _MODE_BLOCK, s[0])
+            nb = a1 - a0
+            x = link(pairs[0], first[a0:a1], *modes[1], slots[0][: nb * s[1]].reshape(nb, s[1]))
+            for i, y in enumerate(links, start=1):
+                x = np.matmul(x, y, out=slots[i % 2][: nb * s[i + 1]].reshape(nb, s[i + 1]))
+            last = link(pairs[-1], modes[-1][0], first[a0:a1], spectrum[a0:a1], slots[(r - 1) % 2][: s[-1] * nb].reshape(s[-1], nb))
+            total += np.einsum("ij,ji->", x, last)  # trace(x B) without the off-diagonal of the product
+        return (self.delta_e / size) ** r * complex(total)
 
     def _offset_cycle(self, cycle: tuple[int, ...], plan) -> complex:
         """The banded route: per block of the plan, the path product over
@@ -421,11 +480,11 @@ class _PairingFactors:
         ]
         first, kern = self.lag[targets[0] - 1], self.kern[(cycle[0], targets[0])]
         close = self.lag[targets[-1] - 1][::-1]  # close[o + m - 1] = t(-o)
-        # work arrays made once per cycle and written in place: fresh
-        # megabyte-sized temporaries per block would each be mapped and
-        # page-faulted anew by the allocator
-        work = np.empty(block * max(w[0][1] - w[0][0] for _, _, w in blocks), dtype=complex)
-        pads = [np.empty(block * max(sizes), dtype=complex) for _ in range(min(r - 2, 2))]
+        # the path state of the first link and the FFT pads are views of the
+        # work buffer, written in place
+        start, span = block * max(w[0][1] - w[0][0] for _, _, w in blocks), block * max(sizes, default=0)
+        work, _ = self._buffers(start + min(r - 2, 2) * span)
+        pads = [work[start + k * span : start + (k + 1) * span] for k in range(min(r - 2, 2))]
         total = 0j
         for r0, r1, windows in blocks:
             nb = r1 - r0

@@ -11,6 +11,9 @@ factorization over components, the truncation recursion, hermiticity, and
 the epsilon-order bookkeeping.
 """
 
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -41,7 +44,7 @@ from lowdensity import (
     truncated_from_full,
     truncated_smeared,
 )
-from lowdensity.finite_eps import _BLOCK, BAND_CUT, COMMUTATOR, DENSITY, MODE_CUT, NYQUIST_MARGIN, _fft_len, _PairingFactors, two_point
+from lowdensity.finite_eps import _BLOCK, _MODE_BLOCK, BAND_CUT, COMMUTATOR, DENSITY, MODE_CUT, NYQUIST_MARGIN, _fft_len, _PairingFactors, two_point
 
 
 def close(got, want, rel=1e-9):
@@ -396,13 +399,13 @@ def test_mode_route_matches_lag_route_and_dense_chain(n, bins, seed, eps, specs)
     for d in irreducible_diagrams(n):
         cycle = d.cycles()[0]
         plan = factors._offset_windows(cycle)
-        lag = factors._offset_cycle(cycle, plan) if plan[0] else 0j
+        banded = factors._offset_cycle(cycle, plan) if plan[0] else 0j
         mode = factors._mode_cycle(cycle)
         scale = eps ** (d.k - n)
         want = pairing_chain_oracle(model, symbols, d, eps)
-        close(scale * lag, want, rel=1e-12)
+        close(scale * banded, want, rel=1e-12)
         close(scale * mode, want, rel=1e-12)
-        close(scale * mode, scale * lag, rel=1e-12)
+        close(scale * mode, scale * banded, rel=1e-12)
 
 
 def test_mode_cut():
@@ -520,6 +523,76 @@ def test_routed_cycles_on_several_row_blocks_match_dense_chain(n, seed, eps, spe
         close(got, pairing_chain_oracle(model, symbols, d, eps), rel=1e-12)
 
 
+# the mode route on kept mode sets wider than one block of the mode chain's
+# rows: at M = 201 (L = 405) Gaussian phi at these eps keeps 130 modes or
+# more and indicator phi all 405, so every chain runs over three to seven
+# blocks of _MODE_BLOCK rows.  The last shift closes the sum to 0, so the
+# cycles do not vanish
+@pytest.mark.parametrize("n", [3, 4])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    eps=st.floats(0.02, 0.08),
+    specs=st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b"]),
+            st.sampled_from(["a", "b"]),
+            st.integers(-3, 3),
+            st.sampled_from(["gaussian", "indicator"]),
+            st.floats(-0.5, 0.5),
+            st.floats(0.6, 1.5),
+        ),
+        min_size=4,
+        max_size=4,
+    ),
+)
+@example(seed=10, eps=0.08, specs=[("a", "b", 2, "gaussian", 0.1, 0.6), ("b", "a", -1, "gaussian", -0.3, 0.7),
+                                   ("a", "a", 1, "gaussian", 0.2, 0.6), ("b", "b", 0, "gaussian", 0.0, 0.8)])
+@settings(max_examples=5, deadline=None)
+def test_mode_route_on_several_row_blocks_matches_dense_chain(n, seed, eps, specs):
+    model = random_model(np.random.default_rng(seed), bins=201)
+    shifts = [s for _, _, s, _, _, _ in specs[: n - 1]]
+    specs = specs[: n - 1] + [specs[n - 1][:2] + (-sum(shifts),) + specs[n - 1][3:]]
+    symbols = [_symbol(*spec) for spec in specs]
+    factors = _PairingFactors(model, tuple(symbols), eps)
+    assert all(len(keep) > _MODE_BLOCK for keep, _ in factors._mode_sets()[1])
+    for d in irreducible_diagrams(n):
+        got = eps ** (d.k - n) * factors._mode_cycle(d.cycles()[0])
+        close(got, pairing_chain_oracle(model, symbols, d, eps), rel=1e-12)
+
+
+def test_work_buffer_reuse_leaves_every_value_bit_identical():
+    # every cycle of every irreducible diagram on the slot subsets of n = 4,
+    # by each route, contracted twice on one set of pairing factors: from
+    # short cycles to long ones, then back, so that the buffers grow and
+    # later cycles reuse them stale.  Each value must equal the one a fresh
+    # set of pairing factors gives
+    model = random_model(np.random.default_rng(13), bins=201)
+    specs = [("a", "b", 2, "gaussian", 0.1, 0.8), ("b", "a", -1, "gaussian", -0.2, 1.1),
+             ("a", "a", -1, "indicator", 0.3, 0.9), ("b", "b", 0, "gaussian", 0.0, 1.3)]
+    symbols = tuple(_symbol(*spec) for spec in specs)
+    eps = 0.1
+    cycles = [
+        tuple(subset[l - 1] for l in d.cycles()[0])
+        for size in (2, 3, 4)
+        for subset in combinations(range(1, 5), size)
+        for d in irreducible_diagrams(size)
+    ]
+
+    def contract(factors, route, cycle):
+        if route == "mode":
+            return factors._mode_cycle(cycle)
+        plan = factors._offset_windows(cycle)
+        return factors._offset_cycle(cycle, plan) if plan[0] else 0j
+
+    shared = _PairingFactors(model, symbols, eps)
+    runs = [(route, cycle) for cycle in cycles for route in ("mode", "offset")]
+    assert {len(cycle) for _, cycle in runs} == {2, 3, 4}
+    for route, cycle in runs + runs[::-1]:
+        want = contract(_PairingFactors(model, symbols, eps), route, cycle)
+        assert want != 0j
+        assert contract(shared, route, cycle) == want, (route, cycle)
+
+
 def test_offset_route_unclosable_cycle_is_exactly_zero():
     model = random_model(np.random.default_rng(11), bins=201)
     # every support sits 10..70 lags to the right of 0, so no three lags sum to 0
@@ -559,6 +632,30 @@ def test_full_support_gaussian_cycle_takes_the_mode_route():
         cycle = d.cycles()[0]
         assert factors._route(cycle, factors._offset_windows(cycle)) == "mode"
         close(factors.epsilon ** (d.k - 3) * factors.cycle_value(cycle), pairing_chain_oracle(model, symbols, d, 0.2), rel=1e-12)
+
+
+# the frequency-shifted resolved sweep of CI: the default model at M = 640
+# with symbols a:b, b:a, a:a at shifts 2, -1, -1.  Its cycles write into one
+# work buffer per eps row, which keeps the traced peak of the row's
+# truncated value, mode sets built beforehand, at 0.73, 1.57 and 1.19 MB
+# (numpy 2.4); arrays made afresh per link and cycle peaked at 0.83, 2.51
+# and 1.19 MB
+@pytest.mark.parametrize("eps, route, bound", [(0.2, "mode", 0.9e6), (0.1, "mode", 2.6e6), (0.05, "offset", 1.3e6)])
+def test_traced_peak_of_a_frequency_shifted_sweep_row(eps, route, bound):
+    cfg = default_config()
+    cfg["grid"]["bins"] = 640
+    phi = cfg["symbols"][0]["phi"]
+    cfg["symbols"] = [{"f": f, "g": g, "omega_index": s, "phi": phi} for f, g, s in [("a", "b", 2), ("b", "a", -1), ("a", "a", -1)]]
+    model = model_from_config(cfg)
+    factors = _PairingFactors(model, tuple(symbols_from_config(cfg, model)), eps)
+    assert factors._route((1, 2, 3), factors._offset_windows((1, 2, 3))) == route
+    tracemalloc.start()
+    try:
+        factors.truncated((1, 2, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.1, float("nan"), float("inf")])
