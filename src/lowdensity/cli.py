@@ -4,8 +4,9 @@ Every subcommand prints a short human summary to stdout and returns its
 table (row dicts or a ConvergenceReport), its own metadata and the messages
 of its headline claims that failed.  `main` alone writes the table and the
 .meta.json sidecar (with --out), then sets the exit status: 0 on success,
-1 for configuration or usage errors, 2 when --assert finds a failed claim,
-which is reported after the outputs are written.
+1 for configuration or usage errors and for a result that overflows a
+float, 2 when --assert finds a failed claim, which is reported after the
+outputs are written.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from math import comb, factorial, isfinite, isnan, ulp
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, default_config, load_config, load_symbols, model_from_config, symbols_from_config, test_function_from_config
+from .config import ConfigError, default_config, load_config, model_from_config, symbol_entries, symbols_from_config, test_function_from_config
 from .finite_eps import convergence_sweep, delta_lemma_check
 from .partitions import MAX_ENUM_PARTITION, _check_arity, bell, classify, enumerate_pair_diagrams, surviving_diagram, touchard
 from .report import ConvergenceReport, write_sidecar, write_table
@@ -74,9 +75,6 @@ def _positive_int(text: str) -> int:
 
 def _load(args):
     cfg = load_config(args.config) if args.config else default_config()
-    if getattr(args, "symbols", None):
-        cfg = dict(cfg)
-        cfg["symbols"] = load_symbols(args.symbols)
     return cfg, model_from_config(cfg)
 
 
@@ -262,19 +260,12 @@ def cmd_wn_expect(args):
         except ValueError:
             raise ConfigError(f"--pairs: expected 'f:g,f:g' style, got {args.pairs!r}")
     else:
-        raw = cfg.get("symbols")
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("symbols: missing from config and required by this command")
-        labels = []
-        for i, entry in enumerate(raw):
-            if not isinstance(entry, dict) or "f" not in entry or "g" not in entry:
-                raise ConfigError(f"symbols[{i}]: needs 'f' and 'g' vector names")
-            labels.append((str(entry["f"]), str(entry["g"])))
+        labels = [(entry["f"], entry["g"]) for _, entry in symbol_entries(cfg, model)]
     if args.order is not None:
         if args.order > len(labels):
             raise ConfigError(f"--order must be between 1 and the number of symbols ({len(labels)})")
         labels = labels[: args.order]
-    for f, g in labels:
+    for f, g in labels:  # --pairs names; the config's were checked as read
         for name in (f, g):
             if name not in model.vectors:
                 raise ConfigError(f"vector {name!r} not defined in the model config")
@@ -287,10 +278,11 @@ def cmd_wn_expect(args):
             print(f"  {before}")
             for t in after.terms:
                 print(f"    -> {t}")
-    evaluated = evaluate_symbolic(vac, model)
+    by_partition = evaluate_symbolic(vac, model)
+    connected = by_partition.get((tuple(range(1, k + 1)),), 0j)
 
     rows = []
-    for partition, value in sorted(evaluated.by_partition.items()):
+    for partition, value in sorted(by_partition.items()):
         part_text = "|".join(",".join(str(i) for i in c) for c in partition)
         order = sum(len(c) - 1 for c in partition)
         rows.append({
@@ -298,15 +290,15 @@ def cmd_wn_expect(args):
             "value_re": value.real, "value_im": value.imag,
         })
         print(f"partition {part_text:<12} chain order {order}  value = {value:.10g}")
-    print(f"connected value = {evaluated.connected:.12g}")
+    print(f"connected value = {connected:.12g}")
 
     kernels = [rank_one_kernel(model, f, g) for f, g in labels]
     coeff = limit_truncated_coefficient(model, kernels, [FrequencyIndex(0)] * k)
     expected = TWO_PI ** (k - 1) * coeff.value
     if k == 1 and args.connected_only:
         expected = 0j  # a lone symbol's vacuum value is all scalar part, here dropped
-    print(f"chain coefficient check: engine={evaluated.connected:.10g}  spectral={expected:.10g}")
-    err = abs(evaluated.connected - expected) / max(1.0, abs(expected))
+    print(f"chain coefficient check: engine={connected:.10g}  spectral={expected:.10g}")
+    err = abs(connected - expected) / max(1.0, abs(expected))
     failed = [f"connected chain deviates from the spectral coefficient by {err:.3e}"] if err > 1e-10 else []
     meta = {"k": k, "labels": ["{}:{}".format(*l) for l in labels], "connected_only": args.connected_only}
     return rows, meta, failed
@@ -379,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lowdensity", description="Low density limit toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, summary, model=False, symbols=False):
+    def command(name, fn, summary, model=False):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(fn=fn)
         if model:
@@ -388,16 +380,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv", help="table format for --out")
         p.add_argument("--assert", dest="do_assert", action="store_true",
                        help="fail (exit 2) unless this command's headline claim holds")
-        if symbols:
-            p.add_argument("--symbols", help="JSON file with a symbols array, overrides the config's")
         return p
 
-    command("limit", cmd_limit, "limiting truncated value of the configured symbols", model=True, symbols=True)
+    command("limit", cmd_limit, "limiting truncated value of the configured symbols", model=True)
 
-    p = command("sweep", cmd_sweep, "finite-epsilon truncated values against the limit", model=True, symbols=True)
+    p = command("sweep", cmd_sweep, "finite-epsilon truncated values against the limit", model=True)
     p.add_argument("--epsilons", type=_epsilons, default=[0.2, 0.1, 0.05])
 
-    p = command("free-check", cmd_free_check, "free white-noise product rule vs the limit formula", model=True, symbols=True)
+    p = command("free-check", cmd_free_check, "free white-noise product rule vs the limit formula", model=True)
     p.add_argument("--random", type=_positive_int, metavar="N", help="check N random symbol configurations")
     p.add_argument("--seed", type=int, default=0, help="seed for --random")
 
@@ -415,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--separation", type=_finite_float, default=10.0,
                    help="required group separation in units of the mean time width")
 
-    p = command("wn-expect", cmd_wn_expect, "symbolic white-noise vacuum expectation", model=True, symbols=True)
+    p = command("wn-expect", cmd_wn_expect, "symbolic white-noise vacuum expectation", model=True)
     p.add_argument("--pairs", help="f:g pairs, e.g. 'a:b,b:a' (defaults to config symbols)")
     p.add_argument("--order", type=_positive_int, help="use only the first k symbols")
     p.add_argument("--connected-only", action="store_true", help="drop the scalar part of each symbol")
@@ -456,6 +446,9 @@ def main(argv=None) -> int:
         table, extra, failed = args.fn(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError:  # float arithmetic such as x ** k past 1.8e308
+        print("error: a result overflows a float", file=sys.stderr)
         return 1
     if args.out:
         metadata = {"command": args.command, "version": __version__, **extra}

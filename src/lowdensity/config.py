@@ -18,8 +18,9 @@ shell amplitude vectors:
     }
 
 "density" may also be {"type": "table", "values": [...]} with one entry per
-bin.  "symbols" is optional; subcommands that need none ignore it.  Errors
-name the offending field path.
+bin, as are a table vector's "re" and optional "im".  "symbols" is optional;
+subcommands that need none ignore it, and wn-expect reads only each entry's
+f and g.  Errors name the offending field path.
 """
 
 from __future__ import annotations
@@ -57,32 +58,24 @@ def _integer(value: Any, path: str) -> int:
     return value
 
 
-def _read_json(path: str, what: str) -> Any:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+def _table(cfg: Mapping[str, Any], key: str, grid: EnergyGrid, path: str) -> np.ndarray:
+    values = _require(cfg, key, path)
+    if not isinstance(values, Sequence) or len(values) != grid.bins:
+        raise ConfigError(f"{path}.{key}: expected {grid.bins} entries")
+    return np.asarray([_number(v, f"{path}.{key}") for v in values])
 
 
 def load_config(path: str) -> dict:
-    cfg = _read_json(path, "config")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return cfg
-
-
-def load_symbols(path: str) -> list:
-    """Symbols array from a JSON file holding the array itself or an object
-    with a "symbols" key."""
-    data = _read_json(path, "symbols")
-    if isinstance(data, dict):
-        data = data.get("symbols")
-    if not isinstance(data, list):
-        raise ConfigError(f"{path}: expected a symbols array or an object with a 'symbols' key")
-    return data
 
 
 def grid_from_config(cfg: Mapping[str, Any], path: str = "grid") -> EnergyGrid:
@@ -102,10 +95,7 @@ def _density_from_config(cfg: Any, grid: EnergyGrid, path: str) -> np.ndarray:
     if kind == "flat":
         return np.full(grid.bins, _number(cfg.get("value", 1.0), f"{path}.value"))
     if kind == "table":
-        values = _require(cfg, "values", path)
-        if not isinstance(values, Sequence) or len(values) != grid.bins:
-            raise ConfigError(f"{path}.values: expected {grid.bins} entries")
-        return np.asarray([_number(v, f"{path}.values") for v in values])
+        return _table(cfg, "values", grid, path)
     raise ConfigError(f"{path}.type: unknown density type {kind!r}")
 
 
@@ -128,15 +118,9 @@ def _vector_from_config(cfg: Any, grid: EnergyGrid, path: str) -> np.ndarray:
             raise ConfigError(f"{path}: hi must exceed lo")
         values = amplitude * ((e >= lo) & (e < hi)).astype(float)
     elif kind == "table":
-        re = _require(cfg, "re", path)
-        if not isinstance(re, Sequence) or len(re) != grid.bins:
-            raise ConfigError(f"{path}.re: expected {grid.bins} entries")
-        values = np.asarray([_number(v, f"{path}.re") for v in re], dtype=complex)
+        values = _table(cfg, "re", grid, path).astype(complex)
         if "im" in cfg:
-            im = cfg["im"]
-            if not isinstance(im, Sequence) or len(im) != grid.bins:
-                raise ConfigError(f"{path}.im: expected {grid.bins} entries")
-            values = values + 1j * np.asarray([_number(v, f"{path}.im") for v in im])
+            values = values + 1j * _table(cfg, "im", grid, path)
     else:
         raise ConfigError(f"{path}.type: unknown vector type {kind!r}")
     return values
@@ -172,25 +156,30 @@ def test_function_from_config(cfg: Any, path: str = "phi") -> TestFunction:
     raise ConfigError(f"{path}.family: unknown family {family!r}")
 
 
-def symbols_from_config(cfg: Mapping[str, Any], model: SpectralModel) -> list[NumberSymbol]:
+def symbol_entries(cfg: Mapping[str, Any], model: SpectralModel):
+    """Yield (path, entry) for each entry of the config's symbols array once
+    its f and g name vectors of the model; phi and omega_index are not read."""
     raw = cfg.get("symbols")
     if raw is None:
         raise ConfigError("symbols: missing from config and required by this command")
     if not isinstance(raw, Sequence) or not raw:
         raise ConfigError("symbols: expected a non-empty array")
-    out = []
     for i, entry in enumerate(raw):
         path = f"symbols[{i}]"
         if not isinstance(entry, Mapping):
             raise ConfigError(f"{path}: expected an object")
-        f = _require(entry, "f", path)
-        g = _require(entry, "g", path)
-        for label in (f, g):
-            if label not in model.vectors:
+        for label in (_require(entry, "f", path), _require(entry, "g", path)):
+            if not isinstance(label, str) or label not in model.vectors:
                 raise ConfigError(f"{path}: vector {label!r} not defined under vectors")
+        yield path, entry
+
+
+def symbols_from_config(cfg: Mapping[str, Any], model: SpectralModel) -> list[NumberSymbol]:
+    out = []
+    for path, entry in symbol_entries(cfg, model):
         s = _integer(entry.get("omega_index", 0), f"{path}.omega_index")
         phi = test_function_from_config(_require(entry, "phi", path), f"{path}.phi")
-        out.append(NumberSymbol.make(f=f, g=g, s=s, phi=phi))
+        out.append(NumberSymbol.make(f=entry["f"], g=entry["g"], s=s, phi=phi))
     return out
 
 

@@ -29,6 +29,9 @@ class TestFunction:
 
     gaussian:  amplitude * exp(-(t - center)^2 / (2 width^2))
     indicator: amplitude on [lo, hi), zero elsewhere
+
+    The family is checked once, at construction; every method then reads
+    any family other than gaussian as the indicator.
     """
 
     family: str
@@ -37,6 +40,10 @@ class TestFunction:
     width: float = 1.0
     lo: float = 0.0
     hi: float = 0.0
+
+    def __post_init__(self):
+        if self.family not in (GAUSSIAN, INDICATOR):
+            raise ValueError(f"unknown test-function family {self.family!r}")
 
     @classmethod
     def gaussian(cls, amplitude: float = 1.0, center: float = 0.0, width: float = 1.0) -> "TestFunction":
@@ -54,9 +61,7 @@ class TestFunction:
         t = np.asarray(t, dtype=float)
         if self.family == GAUSSIAN:
             return self.amplitude * np.exp(-((t - self.center) ** 2) / (2.0 * self.width**2))
-        if self.family == INDICATOR:
-            return self.amplitude * ((t >= self.lo) & (t < self.hi)).astype(float)
-        raise ValueError(f"unknown test-function family {self.family!r}")
+        return self.amplitude * ((t >= self.lo) & (t < self.hi)).astype(float)
 
     def fourier(self, xi):
         """ft(xi) = integral dt f(t) exp(i t xi), exact for both families."""
@@ -64,37 +69,23 @@ class TestFunction:
         if self.family == GAUSSIAN:
             a, c, s = self.amplitude, self.center, self.width
             return a * s * sqrt(2.0 * pi) * np.exp(1j * c * xi - 0.5 * s**2 * xi**2)
-        if self.family == INDICATOR:
-            w = self.hi - self.lo
-            mid = 0.5 * (self.hi + self.lo)
-            # (e^{i hi xi} - e^{i lo xi})/(i xi) written in sinc form, finite at xi = 0
-            return self.amplitude * w * np.sinc(w * xi / (2.0 * pi)) * np.exp(1j * mid * xi)
-        raise ValueError(f"unknown test-function family {self.family!r}")
-
-    def integral(self) -> float:
-        """integral dt f(t) == fourier(0), but computed without complex round-trip."""
-        if self.family == GAUSSIAN:
-            return self.amplitude * self.width * sqrt(2.0 * pi)
-        if self.family == INDICATOR:
-            return self.amplitude * (self.hi - self.lo)
-        raise ValueError(f"unknown test-function family {self.family!r}")
+        w = self.hi - self.lo
+        mid = 0.5 * (self.hi + self.lo)
+        # (e^{i hi xi} - e^{i lo xi})/(i xi) written in sinc form, finite at xi = 0
+        return self.amplitude * w * np.sinc(w * xi / (2.0 * pi)) * np.exp(1j * mid * xi)
 
     def time_center(self) -> float:
         """Centre c of the time support; ft carries the phase exp(i c xi)."""
         if self.family == GAUSSIAN:
             return self.center
-        if self.family == INDICATOR:
-            return 0.5 * (self.lo + self.hi)
-        raise ValueError(f"unknown test-function family {self.family!r}")
+        return 0.5 * (self.lo + self.hi)
 
     def time_scale(self) -> float:
         """Width proxy used by the grid-resolution rule: the fourier factor of
         this function is resolved over |xi| ~ 1/time_scale."""
         if self.family == GAUSSIAN:
             return self.width
-        if self.family == INDICATOR:
-            return (self.hi - self.lo) / (2.0 * pi)
-        raise ValueError(f"unknown test-function family {self.family!r}")
+        return (self.hi - self.lo) / (2.0 * pi)
 
 
 def product_integral(phis) -> float:
@@ -106,9 +97,6 @@ def product_integral(phis) -> float:
     phis = list(phis)
     if not phis:
         raise ValueError("product_integral needs at least one factor")
-    for p in phis:
-        if p.family not in (GAUSSIAN, INDICATOR):
-            raise ValueError(f"unknown test-function family {p.family!r}")
     gaussians = [p for p in phis if p.family == GAUSSIAN]
     boxes = [p for p in phis if p.family == INDICATOR]
 

@@ -361,16 +361,13 @@ def number_symbol_expansion(slot: int, f: str, g: str, include_scalar: bool) -> 
 @dataclass(frozen=True)
 class VacuumTerm:
     """One scalar contribution to a vacuum expectation after integrating the
-    energy deltas; time deltas stay symbolic as a partition of the slots."""
+    energy deltas; time deltas stay symbolic as a partition of the slots.
+    Its numeric factor is always 1, so the term stores none: the value is
+    2pi^two_pi times the product of its energy groups' integrals."""
 
-    numeric: complex
-    two_pi: int
+    two_pi: int  # also the delta-chain order: slots minus blocks
     time_partition: tuple[tuple[int, ...], ...]
     energy_groups: tuple[tuple[tuple[str, str, str], ...], ...]  # atoms ("ip"|"ipn", a, b) per free energy variable
-
-    @property
-    def delta_chain_order(self) -> int:
-        return sum(len(c) - 1 for c in self.time_partition)
 
 
 @dataclass(frozen=True)
@@ -388,9 +385,9 @@ class VacuumExpectation:
 def vacuum_expectation(labels: Sequence[tuple[str, str]], include_scalar: bool = True, trace=None) -> VacuumExpectation:
     """<Omega, N_{f_1,g_1}(t_1) ... N_{f_k,g_k}(t_k) Omega> symbolically.
 
-    One term of numeric 1 per set partition of the slots: a block is one
-    time class and one energy class, and its chain atoms (module docstring)
-    form one energy group.  With include_scalar the result reproduces full
+    One term per set partition of the slots, its numeric factor 1: a block
+    is one time class and one energy class, and its chain atoms (module
+    docstring) form one energy group.  With include_scalar the result reproduces full
     correlation functions; without it, only the partitions with no singleton
     block, where every slot is contracted into some chain, and the listing
     opens no singleton block at all.  A trace list
@@ -413,7 +410,6 @@ def vacuum_expectation(labels: Sequence[tuple[str, str]], include_scalar: bool =
     terms = sorted(
         (
             VacuumTerm(
-                numeric=1.0 + 0j,
                 two_pi=k - len(blocks),
                 time_partition=blocks,
                 energy_groups=tuple(sorted(map(block_atoms, blocks))),
@@ -436,13 +432,14 @@ def vacuum_expectation(labels: Sequence[tuple[str, str]], include_scalar: bool =
             for part in parts:
                 coeff = coeff * part.coeff
             before = WnTerm(coeff, tuple(g for part in parts for g in part.factors))
-            trace.append((before, canonicalize(WnExpression(tuple(by_branch[branch])))))
+            trace.append((before, WnExpression(tuple(sorted(by_branch[branch], key=str)))))
     return VacuumExpectation(k=k, labels=labels, include_scalar=include_scalar, terms=tuple(terms))
 
 
 def _scalar_term(blocks, groups) -> WnTerm:
     """A partition's term as a generator-free WnTerm: each block one time and
-    one energy delta class, its atoms on the block's energy."""
+    one energy delta class, its atoms on the block's energy and sorted, as
+    `canonical_term` would leave them."""
     t_deltas, e_deltas, ips, ipns = [], [], [], []
     for slots, atoms in zip(blocks, groups):
         head = slots[0]
@@ -450,17 +447,7 @@ def _scalar_term(blocks, groups) -> WnTerm:
         e_deltas += [(f"E{head}", f"E{s}") for s in slots[1:]]
         for kind, a, b in atoms:
             (ips if kind == "ip" else ipns).append((a, b, f"E{head}"))
-    return WnTerm(Coefficient(1.0 + 0j, len(t_deltas), tuple(t_deltas), tuple(e_deltas), tuple(ips), tuple(ipns)))
-
-
-@dataclass(frozen=True, eq=False)
-class EvaluatedExpectation:
-    k: int
-    by_partition: dict
-
-    @property
-    def connected(self) -> complex:
-        return self.by_partition.get((tuple(range(1, self.k + 1)),), 0j)
+    return WnTerm(Coefficient(1.0 + 0j, len(t_deltas), tuple(t_deltas), tuple(e_deltas), tuple(sorted(ips)), tuple(sorted(ipns))))
 
 
 def _atom_values(atoms, model) -> np.ndarray:
@@ -475,18 +462,19 @@ def _atom_values(atoms, model) -> np.ndarray:
     return vals
 
 
-def evaluate_symbolic(vac: VacuumExpectation, model) -> EvaluatedExpectation:
-    """Numeric value of each delta-chain structure on a grid model: every
-    free energy integral becomes a bin sum of its atom product, computed
-    once per distinct energy group."""
+def evaluate_symbolic(vac: VacuumExpectation, model) -> dict[tuple[tuple[int, ...], ...], complex]:
+    """Numeric value of each delta-chain structure on a grid model, keyed by
+    time partition: every free energy integral becomes a bin sum of its atom
+    product, computed once per distinct energy group.  The connected value is
+    the entry of the one-block partition, absent (0) without terms there."""
     table: dict[tuple, complex] = {}
     integrals: dict[tuple, complex] = {}
     two_pi = 2.0 * pi
     for term in vac.terms:
-        val = complex(term.numeric) * two_pi**term.two_pi
+        val = complex(two_pi**term.two_pi)
         for atoms in term.energy_groups:
             if atoms not in integrals:
                 integrals[atoms] = complex(np.sum(_atom_values(atoms, model)) * model.grid.delta_e)
             val *= integrals[atoms]
         table[term.time_partition] = table.get(term.time_partition, 0j) + val
-    return EvaluatedExpectation(k=vac.k, by_partition=table)
+    return table

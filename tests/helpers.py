@@ -257,10 +257,14 @@ def _slot_partition(k, t_deltas):
 
 def _vacuum_terms(k, merged):
     """Integrate the energy deltas of merged generator-free terms of a
-    k-symbol product into VacuumTerms, sorted by structure."""
+    k-symbol product into VacuumTerms, sorted by structure.  A VacuumTerm
+    carries no numeric factor, so a merged term whose numeric is not 1 is
+    an error here."""
     out = []
     for term in merged.terms:
         c = term.coeff
+        if c.numeric != 1:
+            raise ValueError(f"vacuum term with numeric {c.numeric}, not 1: {term}")
         e_rep = white_noise._classes(c.e_deltas)
         groups = {}
         for a, b, e in c.ips:
@@ -273,7 +277,6 @@ def _vacuum_terms(k, merged):
             raise ValueError("energy variable without atoms in a vacuum term")
         out.append(
             VacuumTerm(
-                numeric=c.numeric,
                 two_pi=c.two_pi,
                 time_partition=_slot_partition(k, c.t_deltas),
                 energy_groups=tuple(sorted(tuple(sorted(g)) for g in groups.values())),

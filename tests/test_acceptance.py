@@ -189,7 +189,7 @@ def test_criterion_10_white_noise_engine():
     for k in (2, 3, 4):
         labels = [("g0", "g0")] * k
         vac = vacuum_expectation(labels, include_scalar=False)
-        connected = evaluate_symbolic(vac, model).connected
+        connected = evaluate_symbolic(vac, model)[(tuple(range(1, k + 1)),)]
         kerns = [rank_one_kernel(model, f, g) for f, g in labels]
         want = TWO_PI ** (k - 1) * limit_truncated_coefficient(model, kerns, [FrequencyIndex(0)] * k).value
         assert abs(connected - want) <= 1e-10 * max(1.0, abs(want))
@@ -199,7 +199,7 @@ def test_criterion_10_white_noise_engine():
     for k in (2, 3, 4):
         labels = [("g0", "g0"), ("g1", "g1"), ("g0", "g0"), ("g1", "g1")][:k]
         vac = vacuum_expectation(labels, include_scalar=True)
-        full_engine = sum(evaluate_symbolic(vac, model).by_partition.values())
+        full_engine = sum(evaluate_symbolic(vac, model).values())
 
         def trunc(subset):
             kerns = [rank_one_kernel(model, *labels[i - 1]) for i in subset]

@@ -517,16 +517,44 @@ def test_commands_without_a_model_refuse_config(command, config_path, capsys):
     assert "unrecognized arguments: --config" in captured.err
 
 
-def test_symbols_file_overrides_config(config_path, tmp_path, capsys):
-    path = tmp_path / "symbols.json"
-    path.write_text(json.dumps({"symbols": CONFIG["symbols"][:1]}))
-    assert main(["limit", "--config", config_path, "--symbols", str(path)]) == 0
-    assert "n = 1" in capsys.readouterr().out
-    path.write_text(json.dumps({"no_symbols": []}))
-    assert main(["limit", "--symbols", str(path)]) == 1
-    assert "expected a symbols array" in capsys.readouterr().err
-    assert main(["limit", "--symbols", str(tmp_path / "missing.json")]) == 1
-    assert "cannot read symbols file" in capsys.readouterr().err
+SYMBOL_COMMANDS = ("limit", "sweep", "free-check", "independence", "wn-expect")
+
+
+@pytest.mark.parametrize("symbols, message", [
+    ([{"f": "a", "phi": {"family": "gaussian"}}], "symbols[0].g: missing required field"),
+    ([CONFIG["symbols"][0], {"f": "a", "g": "z", "phi": {"family": "gaussian"}}], "symbols[1]: vector 'z' not defined under vectors"),
+    ([], "symbols: expected a non-empty array"),
+    (["a:b"], "symbols[0]: expected an object"),
+])
+def test_malformed_symbols_give_one_error_from_every_command(symbols, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(CONFIG, symbols=symbols)))
+    for command in SYMBOL_COMMANDS:
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n", command
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("command", SYMBOL_COMMANDS)
+def test_symbols_come_from_the_config_only(command, config_path, capsys):
+    assert main([command, "--config", config_path, "--symbols", config_path]) == 1
+    assert "unrecognized arguments: --symbols" in capsys.readouterr().err
+
+
+def test_wn_expect_reads_no_phi_from_config_symbols(tmp_path, capsys):
+    # the vacuum expectation depends on the f, g labels alone
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(dict(CONFIG, symbols=[{"f": "a", "g": "b"}, {"f": "b", "g": "a", "omega_index": "x"}])))
+    assert main(["wn-expect", "--config", str(path), "--assert"]) == 0
+    assert "partition 1,2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["bell", "--n", "20", "--lam", "1e20"], ["poisson", "--orders", "400"]])
+def test_float_overflow_is_an_error_line(argv, tmp_path, capsys):
+    # touchard's lam**k and limit_cumulant's (2 pi)^(order - 1) pass 1.8e308
+    assert main(argv + ["--assert", "--out", str(tmp_path / "t.csv")]) == 1
+    assert capsys.readouterr().err == "error: a result overflows a float\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_command_exits_one(capsys):

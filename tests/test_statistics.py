@@ -119,7 +119,7 @@ def test_limit_cumulant_order_one_and_gate():
     kern = rank_one_kernel(model, "a", "a")
     phi = TestFunction.gaussian(width=0.9)
     k1 = limit_cumulant(model, kern, FrequencyIndex(0), phi, 1)
-    want = phi.integral() * np.sum(model.density * kern.diagonal()) * model.grid.delta_e
+    want = product_integral([phi]) * np.sum(model.density * kern.diagonal()) * model.grid.delta_e
     assert k1 == pytest.approx(complex(want), rel=1e-12)
     assert limit_cumulant(model, kern, FrequencyIndex(2), phi, 3) == 0j
     with pytest.raises(ValueError):
@@ -172,7 +172,7 @@ def test_multilinearity_in_the_smearing_slot(rng):
 
 def test_reference_box_powers():
     box = reference_box()
-    assert box.integral() == pytest.approx(1.0, rel=1e-14)
+    assert product_integral([box]) == pytest.approx(1.0, rel=1e-14)
     for l in range(1, 6):
         assert product_integral([box] * l) == pytest.approx(TWO_PI ** (1 - l), rel=1e-13)
 

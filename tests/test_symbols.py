@@ -32,16 +32,18 @@ def test_fourier_matches_quadrature(phi):
 
 
 def test_fourier_at_zero_is_the_integral():
-    for phi in (TestFunction.gaussian(0.9, 0.2, 1.1), TestFunction.indicator(-1.0, 0.5, 1.7)):
-        assert phi.fourier(0.0) == pytest.approx(phi.integral(), rel=1e-13)
-        assert phi.fourier(np.array([0.0]))[0] == pytest.approx(phi.integral(), rel=1e-13)
+    # closed forms: amplitude * width * sqrt(2 pi) and height * (hi - lo)
+    cases = ((TestFunction.gaussian(0.9, 0.2, 1.1), 0.9 * 1.1 * np.sqrt(2.0 * np.pi)), (TestFunction.indicator(-1.0, 0.5, 1.7), 1.7 * 1.5))
+    for phi, integral in cases:
+        assert phi.fourier(0.0) == pytest.approx(integral, rel=1e-13)
+        assert phi.fourier(np.array([0.0]))[0] == pytest.approx(integral, rel=1e-13)
 
 
 def test_indicator_fourier_vectorized_and_continuous():
     phi = TestFunction.indicator(-1.0, 1.0)
     xs = np.array([-1e-9, 0.0, 1e-9])
     vals = phi.fourier(xs)
-    assert np.allclose(vals, phi.integral(), atol=1e-12)
+    assert np.allclose(vals, 2.0, atol=1e-12)
 
 
 def test_call_evaluates_pointwise():
@@ -74,7 +76,7 @@ def test_product_integral_disjoint_boxes_is_zero():
 
 def test_product_integral_single_factor():
     phi = TestFunction.gaussian(0.8, -0.3, 1.2)
-    assert product_integral([phi]) == pytest.approx(phi.integral(), rel=1e-13)
+    assert product_integral([phi]) == pytest.approx(0.8 * 1.2 * np.sqrt(2.0 * np.pi), rel=1e-13)
 
 
 def test_time_scale():
@@ -88,8 +90,9 @@ def test_test_function_validation():
         TestFunction.gaussian(width=0.0)
     with pytest.raises(ValueError):
         TestFunction.indicator(1.0, 1.0)
-    with pytest.raises(ValueError):
-        TestFunction("triangle", 1.0, 0.0, 1.0, 0.0, 0.0).fourier(0.0)
+    # refused at construction, so no method ever sees another family
+    with pytest.raises(ValueError, match="unknown test-function family 'triangle'"):
+        TestFunction("triangle", 1.0, 0.0, 1.0, 0.0, 0.0)
 
 
 def test_frequency_index_integral_and_omega():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import BELL_VALUES, anti_normal_order, commutator_expr, random_model, rgs_partitions, vacuum_expectation_oracle, vacuum_trace_oracle
+from helpers import BELL_VALUES, _vacuum_terms, anti_normal_order, commutator_expr, random_model, rgs_partitions, vacuum_expectation_oracle, vacuum_trace_oracle
 from lowdensity import (
     Coefficient,
     FrequencyIndex,
@@ -231,11 +231,19 @@ def test_vacuum_expectation_order_one():
     vac = vacuum_expectation([("a", "b")])
     assert len(vac.terms) == 1
     term = vac.terms[0]
-    assert term.numeric == 1 and term.two_pi == 0
+    assert term.two_pi == 0
     assert term.time_partition == ((1,),)
     assert term.energy_groups == ((("ipn", "b", "a"),),)
     empty = vacuum_expectation([("a", "b")], include_scalar=False)
     assert empty.terms == ()
+
+
+def test_oracle_refuses_a_vacuum_term_whose_numeric_is_not_one():
+    # VacuumTerm stores no numeric, so the normal-ordering oracle must see 1
+    merged = WnExpression((WnTerm(Coefficient(numeric=2.0 + 0j, ipns=(("b", "a", "E1"),))),))
+    with pytest.raises(ValueError, match="numeric"):
+        _vacuum_terms(1, merged)
+    assert len(_vacuum_terms(1, WnExpression((WnTerm(Coefficient(ipns=(("b", "a", "E1"),))),)))) == 1
 
 
 def test_vacuum_term_census_is_bell(rng):
@@ -264,9 +272,7 @@ def test_connected_term_structure():
         conn = vac.connected_terms()
         assert len(conn) == 1
         term = conn[0]
-        assert term.numeric == 1
         assert term.two_pi == k - 1
-        assert term.delta_chain_order == k - 1
         assert len(term.energy_groups) == 1
 
 
@@ -343,7 +349,7 @@ def test_evaluate_connected_matches_limit_coefficient(labels, include_scalar, se
     model = random_model(np.random.default_rng(seed), bins=bins, names=("a", "b", "c"))
     k = len(labels)
     vac = vacuum_expectation(labels, include_scalar=include_scalar)
-    value = evaluate_symbolic(vac, model).connected
+    value = evaluate_symbolic(vac, model).get((tuple(range(1, k + 1)),), 0j)
     kerns = [rank_one_kernel(model, f, g) for f, g in labels]
     coeff = limit_truncated_coefficient(model, kerns, [FrequencyIndex(0)] * k)
     want = TWO_PI ** (k - 1) * coeff.value
@@ -357,7 +363,7 @@ def test_evaluate_partition_table_factorizes(rng):
     model = random_model(rng, bins=8, names=("a", "b"))
     labels = [("a", "b"), ("b", "a"), ("a", "a")]
     vac = vacuum_expectation(labels)
-    table = dict(sorted(evaluate_symbolic(vac, model).by_partition.items()))
+    table = dict(sorted(evaluate_symbolic(vac, model).items()))
     for partition, got in table.items():
         want = 1.0 + 0j
         for block in partition:
@@ -370,7 +376,7 @@ def test_evaluate_partition_table_factorizes(rng):
 def test_evaluate_order_one_is_state_expectation(rng):
     model = random_model(rng, bins=12)
     vac = vacuum_expectation([("a", "b")])
-    total = sum(evaluate_symbolic(vac, model).by_partition.values())
+    total = sum(evaluate_symbolic(vac, model).values())
     want = state_expectation(model, rank_one_kernel(model, "a", "b"))
     assert total == pytest.approx(want, abs=1e-12 * max(1.0, abs(want)))
 
