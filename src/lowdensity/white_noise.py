@@ -387,14 +387,14 @@ def vacuum_expectation(labels: Sequence[tuple[str, str]], include_scalar: bool =
 
     One term per set partition of the slots, its numeric factor 1: a block
     is one time class and one energy class, and its chain atoms (module
-    docstring) form one energy group.  With include_scalar the result reproduces full
-    correlation functions; without it, only the partitions with no singleton
-    block, where every slot is contracted into some chain, and the listing
-    opens no singleton block at all.  A trace list
+    docstring) form one energy group.  With include_scalar the result
+    reproduces full correlation functions; without it, only the partitions
+    with no singleton block, where every slot is contracted into some chain,
+    and the listing opens no singleton block at all.  A trace list
     receives one (branch, its scalar terms) entry per expansion branch that
     reaches the vacuum, in branch order: a partition's branch takes the
     scalar at a singleton, B- at a block's least slot, B+ at its largest and
-    NG in between.
+    NG in between; its terms are sorted by their text, as `canonicalize` does.
     """
     labels = tuple((str(f), str(g)) for f, g in labels)
     k = len(labels)

@@ -525,6 +525,7 @@ SYMBOL_COMMANDS = ("limit", "sweep", "free-check", "independence", "wn-expect")
     ([CONFIG["symbols"][0], {"f": "a", "g": "z", "phi": {"family": "gaussian"}}], "symbols[1]: vector 'z' not defined under vectors"),
     ([], "symbols: expected a non-empty array"),
     (["a:b"], "symbols[0]: expected an object"),
+    ([{"f": ["a"], "g": "b", "phi": {"family": "gaussian"}}], "symbols[0]: vector ['a'] not defined under vectors"),
 ])
 def test_malformed_symbols_give_one_error_from_every_command(symbols, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
