@@ -62,25 +62,28 @@ adaptive quadrature of delta_lemma_check.
 The support that makes a Gaussian lag band wide makes its spectrum
 narrow, so a cycle of r >= 3 links can also be contracted on Fourier
 modes.  Place each cut lag vector in a circulant of length
-L = _fft_len(2M - 1), lag d at index d mod L.  Every circulant is diagonal
-in the Fourier basis, with eigenvalues c_j = fft of that placed vector, and
-every zero-padded diagonal kernel turns there into the circulant of
-K_i = fft(kern_i, L), so the cycle value is exactly
+L = _fft_len(M + reach), reach the largest |lag| of any support, lag d at
+index d mod L: a kept lag s meets a grid lag d, |d| <= M - 1, mod L only
+at s = d.  Every circulant is diagonal in the Fourier basis, with
+eigenvalues c_j = fft of that placed vector, and every zero-padded kernel
+turns there into the circulant of K_i = fft(kern_i, L), so the cycle value
+is exactly
 
     (delta_e/L)^r trace(B_1 ... B_r),
     B_i[mu, nu] = K_i((nu - mu) mod L) c_{l_{i+1}}(nu),
 
 with mu over the modes of l_i and nu over those of l_{i+1}.  Each slot keeps
 the modes with |c_j| > MODE_CUT sum|t_cut| = 2^-52 sum|t_cut|; for Gaussian
-phi that is about 2 * 9.1 sigma delta_e L/(2 pi eps) modes, narrow exactly
-where the lag band is wide.  Dropping the modes below the cut moves a
-circulant product x C by at most 2^-52 sum|t_cut| ||x||_2 in 2-norm, while
-the same product by FFT already carries a normwise rounding error of a few
-2^-53 log2(L) max|c_j| ||x||_2 <= 2^-53 log2(L) sum|t_cut| ||x||_2
-(Higham, ch. 24): the dropped modes sit at the FFT's own rounding level,
-which the banded route's products already carry, so the mode cut needs no
-diagnostic either.  The mode chain costs r - 2 dense products of mode-set
-sized matrices, run over blocks of _MODE_BLOCK rows of the first link.
+phi that is about 2 * 9.1 sigma delta_e L/(2 pi eps) modes, L about
+M + |omega|/delta_e + 9 eps/(sigma delta_e), few where the band is wide.
+Dropping the modes below the cut moves a circulant product x C by at most
+2^-52 sum|t_cut| ||x||_2 in 2-norm, while the same product by FFT already
+carries a normwise rounding error of a few 2^-53 log2(L) max|c_j| ||x||_2
+<= 2^-53 log2(L) sum|t_cut| ||x||_2 (Higham, ch. 24): the dropped modes
+sit at the FFT's own rounding level, which the banded route's products
+already carry, so the mode cut needs no diagnostic either.  The mode chain
+costs r - 2 dense products of mode-set sized matrices, run over blocks of
+_MODE_BLOCK rows of the first link.
 
 Each r >= 3 cycle compares the FFT work of its banded plan, rows times
 sum L_i log2 L_i, with _MODE_COST times the multiply-adds of the mode chain,
@@ -97,10 +100,9 @@ The buffers live as long as the pairing factors of that row, grow to the
 largest cycle it contracts (the short one is dropped before the long one
 is allocated) and are freed with it; nothing is kept across calls, where
 it would add to the peak memory of every later computation.  They save
-page faults, not arithmetic: fresh arrays of a megabyte or so per cycle
-went back to the operating system when freed, and every new one was
-faulted in again, about 1250 minor faults (5 MB) per three-row sweep at
-M = 640.
+page faults, not arithmetic: a cycle's arrays, up to 0.8 MB per row at
+M = 640, would otherwise go back to the operating system and be faulted
+in again.
 
 Every smeared sum takes one path.  Lag vectors, their supports, kernel
 vectors and resolution warnings are built once per (model, symbols, eps),
@@ -138,16 +140,13 @@ BAND_CUT = 2.0**-60  # lag mass a lag vector's support may drop, as a share of s
 _BLOCK = 128
 MODE_CUT = 2.0**-52  # spectrum modulus, as a share of sum |t|, a kept mode of a cut lag vector exceeds
 # weight of one multiply-add of the mode chain against one unit of the
-# banded route's FFT work (a row times L log2 L per FFT product).  Measured
-# per cycle on a 2-core x86 box (numpy 2.4 with pocketfft and OpenBLAS
-# 0.3.31 at one thread, best of 3; the default model repeated to n = 3 and 4
-# at M = 400-3200, eps = 0.01-0.32), a mode multiply-add cost 0.044-0.125
-# units for 270 modes or more and 0.065-0.3 below, where gathering the links
-# costs more than the products but the mode route wins 4 to 3000 times
-# over.  At 0.06 all 48 of those cycles took their faster route, and so
-# did the 72 3-cycles of 12 sweep-fine benchmark inputs at M = 640 (mode at
-# eps = 0.2 and 0.1, banded at 0.05) at one and at two threads
-_MODE_COST = 0.06
+# banded route's FFT work (a row times L log2 L per FFT product), fitted
+# per cycle (2-core x86, numpy 2.4, OpenBLAS 0.3.31, best of 5) to the
+# default model repeated to n = 3 and 4 (M = 400-3200, eps = 0.01-0.32; 48
+# cycles) and 12 sweep-fine inputs (72 3-cycles): at two threads it routes
+# all but one 2 % tie to the faster route (0.06: 9 misrouted); at one
+# thread a mode multiply-add costs 0.10-0.13 units from 200 modes up
+_MODE_COST = 0.09
 _MODE_BLOCK = 64  # modes of a mode chain's first slot per block of its rows
 
 
@@ -360,12 +359,13 @@ class _PairingFactors:
         return blocks, sizes
 
     def _mode_sets(self):
-        """The circulant length L and, per target slot, the kept modes of
-        its cut lag vector's circulant spectrum with their values, built on
-        first use."""
+        """The circulant length L = _fft_len(M + reach) and, per target
+        slot, the kept modes of its cut lag vector's circulant spectrum with
+        their values, built on first use."""
         if self._modes is None:
             m = self.m
-            size = _fft_len(2 * m - 1)
+            reach = max((max(hi, -lo) for lo, hi in self.support if lo <= hi), default=0)
+            size = _fft_len(m + reach)
             sets = []
             for t, (lo, hi) in zip(self.lag, self.support):
                 cut = np.zeros(size, dtype=complex)

@@ -414,7 +414,8 @@ def test_mode_cut():
     symbols = tuple(_symbol(f, g, s, "gaussian", 0.2, 0.8) for f, g, s in [("a", "b", 30), ("b", "a", -20), ("a", "a", -10)])
     factors = _PairingFactors(model, symbols, 0.2)
     size, sets = factors._mode_sets()
-    assert size == _fft_len(2 * m - 1)
+    reach = max(max(hi, -lo) for lo, hi in factors.support)
+    assert size == _fft_len(m + reach) < _fft_len(2 * m - 1)
     lo, hi = factors.support[0]
     lags = np.arange(lo, hi + 1)
     cut = factors.lag[0][lo + m - 1 : hi + m]
@@ -437,6 +438,41 @@ def test_mode_cut():
     zero = _PairingFactors(tiny, (_symbol("a", "b", 110, "gaussian", 0.0, 1.0),), 0.02)
     assert not np.any(zero.lag[0])
     assert len(zero._mode_sets()[1][0][0]) == 0
+
+
+def _grid_circulant(factors, slot, size):
+    # the M x M grid block of the circulant of length size that holds slot's
+    # cut lag vector, lag d at index d mod size, as _mode_sets places it
+    m, (lo, hi) = factors.m, factors.support[slot]
+    placed = np.zeros(size, dtype=complex)
+    placed[np.arange(lo, hi + 1) % size] = factors.lag[slot][lo + m - 1 : hi + m]
+    return placed[(np.arange(m)[None, :] - np.arange(m)[:, None]) % size]
+
+
+def test_mode_circulant_length_is_the_grid_plus_the_supports_reach():
+    m = 201
+    model = random_model(np.random.default_rng(11), bins=m)
+    symbols = tuple(_symbol(f, g, s, "gaussian", 0.2, 0.8) for f, g, s in [("a", "b", 30), ("b", "a", -20), ("a", "a", -10)])
+    factors = _PairingFactors(model, symbols, 0.2)
+    reach = max(max(hi, -lo) for lo, hi in factors.support)
+    assert reach < m - 1 and factors._mode_sets()[0] == _fft_len(m + reach)
+    lag = np.arange(m)[None, :] - np.arange(m)[:, None]  # b - a
+    for slot, (lo, hi) in enumerate(factors.support):
+        toeplitz = np.where((lo <= lag) & (lag <= hi), factors.lag[slot][np.clip(lag, lo, hi) + m - 1], 0)
+        # at L = M + reach no kept lag wraps onto the grid: exactly the cut Toeplitz matrix
+        assert np.array_equal(_grid_circulant(factors, slot, m + reach), toeplitz)
+        # one point shorter, the lag of largest modulus wraps onto lag -+(M - 1)
+        wrapped = _grid_circulant(factors, slot, m + reach - 1) != toeplitz
+        assert np.any(wrapped) == (max(hi, -lo) == reach)
+    # a sinc keeps every lag, reach M - 1: the full length 2M - 1
+    box = _PairingFactors(model, tuple(_symbol(f, g, s, "indicator", 0.0, 1.0) for f, g, s in [("a", "b", 2), ("b", "a", -1)]), 0.2)
+    assert box._mode_sets()[0] == _fft_len(2 * m - 1)
+    # supports that are all empty reach 0; their mode sets are built, and empty
+    tiny = random_model(np.random.default_rng(12), bins=37)
+    empty = _PairingFactors(tiny, (_symbol("a", "b", 110, "gaussian", 0.0, 1.0), _symbol("b", "a", -110, "gaussian", 0.2, 0.9)), 0.02)
+    assert all(lo > hi for lo, hi in empty.support)
+    size, sets = empty._mode_sets()
+    assert size == _fft_len(37) and [len(keep) for keep, _ in sets] == [0, 0]
 
 
 # both routes of one cycle, each called on its own, and the routed value, on
@@ -524,10 +560,11 @@ def test_routed_cycles_on_several_row_blocks_match_dense_chain(n, seed, eps, spe
 
 
 # the mode route on kept mode sets wider than one block of the mode chain's
-# rows: at M = 201 (L = 405) Gaussian phi at these eps keeps 130 modes or
-# more and indicator phi all 405, so every chain runs over three to seven
-# blocks of _MODE_BLOCK rows.  The last shift closes the sum to 0, so the
-# cycles do not vanish
+# rows: at M = 201 the circulant, the grid plus the supports' reach, is 224
+# to 405 points long, Gaussian phi at these eps kept 87 modes or more (the
+# example; 89 over 300 random draws) and indicator phi keeps all of them,
+# so every chain runs over two to seven blocks of _MODE_BLOCK rows.  The
+# last shift closes the sum to 0, so the cycles do not vanish
 @pytest.mark.parametrize("n", [3, 4])
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -637,9 +674,11 @@ def test_full_support_gaussian_cycle_takes_the_mode_route():
 # the frequency-shifted resolved sweep of CI: the default model at M = 640
 # with symbols a:b, b:a, a:a at shifts 2, -1, -1.  Its cycles write into one
 # work buffer per eps row, which keeps the traced peak of the row's
-# truncated value, mode sets built beforehand, at 0.73, 1.57 and 1.19 MB
-# (numpy 2.4); arrays made afresh per link and cycle peaked at 0.83, 2.51
-# and 1.19 MB
+# truncated value, mode sets built beforehand, at 0.50, 0.84 and 1.19 MB
+# (numpy 2.4).  At eps = 0.1 (L = 784, 133 modes per slot) that is the
+# middle link and two 64-row slots (0.56 MB), the gather index (0.07 MB),
+# six kernel spectra (0.08 MB) and the 8192-entry buffer of numpy's
+# broadcast index subtraction (0.13 MB)
 @pytest.mark.parametrize("eps, route, bound", [(0.2, "mode", 0.9e6), (0.1, "mode", 2.6e6), (0.05, "offset", 1.3e6)])
 def test_traced_peak_of_a_frequency_shifted_sweep_row(eps, route, bound):
     cfg = default_config()
